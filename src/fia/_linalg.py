@@ -9,6 +9,33 @@ row space and the variable order, never on the order rows arrive in.
 from __future__ import annotations
 
 
+def add_row(pivot_rows: dict[int, dict], incoming, ring) -> bool:
+    """Eliminate one sparse row against echelon rows {pivot var: row}.
+
+    A row that survives is normalised and stored under its smallest
+    variable; returns whether it did, i.e. whether the rank grew.
+    """
+    row = dict(incoming)
+    zero = ring.zero
+    while row:
+        lead = min(row)
+        piv = pivot_rows.get(lead)
+        if piv is None:
+            inv = ring.inv(row[lead])
+            pivot_rows[lead] = {c: ring.mul(v, inv) for c, v in row.items()}
+            return True
+        factor = row.pop(lead)
+        for c, v in piv.items():
+            if c == lead:
+                continue
+            nv = ring.sub(row.get(c, zero), ring.mul(factor, v))
+            if nv == zero:
+                row.pop(c, None)
+            else:
+                row[c] = nv
+    return False
+
+
 def rref(rows, ring) -> dict[int, dict]:
     """Reduce an iterable of sparse rows; returns {pivot var: row}.
 
@@ -18,23 +45,7 @@ def rref(rows, ring) -> dict[int, dict]:
     pivot_rows: dict[int, dict] = {}
     zero = ring.zero
     for incoming in rows:
-        row = dict(incoming)
-        while row:
-            lead = min(row)
-            piv = pivot_rows.get(lead)
-            if piv is None:
-                inv = ring.inv(row[lead])
-                pivot_rows[lead] = {c: ring.mul(v, inv) for c, v in row.items()}
-                break
-            factor = row.pop(lead)
-            for c, v in piv.items():
-                if c == lead:
-                    continue
-                nv = ring.sub(row.get(c, zero), ring.mul(factor, v))
-                if nv == zero:
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
+        add_row(pivot_rows, incoming, ring)
     # Back substitution: clear pivot columns out of earlier pivot rows.
     for lead in sorted(pivot_rows, reverse=True):
         row = pivot_rows[lead]

@@ -195,6 +195,16 @@ def _cmd_theorem_random(args):
     return payload, lines, _verdict_exit(report.verdict)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_output_flags(parser):
     parser.add_argument(
         "--format", choices=("json", "text"), default="text", dest="format_"
@@ -264,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = theorem_group.add_parser("random")
     p.add_argument("poset")
     p.add_argument("--ring", default="q")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--probe-cap", type=int, default=None)
     _add_output_flags(p)

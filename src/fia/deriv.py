@@ -69,16 +69,6 @@ class LinearEndo:
             cols.append(col)
         return cls(poset, ring, cols)
 
-    @classmethod
-    def from_callable(cls, poset, ring, fn) -> "LinearEndo":
-        from .fialg import unit as unit_element
-
-        images = [
-            fn(unit_element(poset, ring, poset.elements[i], poset.elements[j]))
-            for i, j in poset.ipairs
-        ]
-        return cls.from_images(poset, ring, images)
-
     # -- application -----------------------------------------------------
 
     def apply(self, a: FiElement) -> FiElement:
@@ -110,14 +100,6 @@ class LinearEndo:
             if w != ring.zero:
                 acc = ring.add(acc, ring.mul(v, w))
         return Scalar(ring, acc)
-
-    def column_element(self, t: int) -> FiElement:
-        """The image of the t-th basis unit as an element."""
-        ring = self.ring
-        ip = self.poset.ipairs
-        col = self.cols[t]
-        entries = {ip[r]: col[r] for r in range(len(col)) if col[r] != ring.zero}
-        return FiElement(self.poset, ring, entries)
 
     # -- linear structure --------------------------------------------------
 

@@ -13,6 +13,10 @@ from fractions import Fraction
 
 MAX_MODULUS = 1 << 31
 
+# Fractions are immutable, so the rationals share one zero and one one.
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
 
 class RingError(ValueError):
     """Request a ring cannot satisfy (bad designator, no inverses, ...)."""
@@ -92,11 +96,11 @@ class CoeffRing:
 
     @property
     def zero(self):
-        return Fraction(0) if self.kind == "q" else 0
+        return _Q_ZERO if self.kind == "q" else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.kind == "q" else 1
+        return _Q_ONE if self.kind == "q" else 1
 
     def from_int(self, n: int):
         if self.kind == "q":
@@ -199,20 +203,38 @@ class CoeffRing:
         if self.kind == "q":
             if set(obj) != {"num", "den"}:
                 raise RingError(f"rational scalar needs num/den, got {obj!r}")
-            num, den = int(obj["num"]), int(obj["den"])
+            num = _json_integer(obj["num"], "numerator")
+            den = _json_integer(obj["den"], "denominator")
             if den < 1:
                 raise RingError("denominator must be a positive decimal")
             return Fraction(num, den)
         if self.kind == "z":
             if set(obj) != {"int"}:
                 raise RingError(f"integer scalar needs int, got {obj!r}")
-            return int(obj["int"])
+            return _json_integer(obj["int"], "integer")
         if set(obj) != {"res"}:
             raise RingError(f"residue scalar needs res, got {obj!r}")
         res = obj["res"]
-        if not isinstance(res, int) or not 0 <= res < self.p:
+        if type(res) is not int or not 0 <= res < self.p:
             raise RingError(f"residue {res!r} out of range for p={self.p}")
         return res
+
+
+def _json_integer(value, what: str) -> int:
+    """An exact integer from JSON: an int or a plain decimal string.
+
+    Floats and booleans are refused rather than truncated or read as 0/1.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        digits = value[1:] if value.startswith("-") else value
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(value)
+            except ValueError:  # more digits than int() will convert
+                pass
+    raise RingError(f"{what} must be an integer or decimal string, got {value!r}")
 
 
 QQ = CoeffRing("q")

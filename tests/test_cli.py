@@ -198,6 +198,20 @@ def test_locder_verify_malformed_json(capsys, chain2_file, tmp_path):
     assert run(["locder", "verify", chain2_file, str(path)]) == 2
 
 
+def test_locder_verify_bad_scalar_exit_2(
+    capsys, tmp_path, chain3_file, good_map_file
+):
+    # A malformed scalar is a parse error, never a refutation (exit 1).
+    with open(good_map_file) as handle:
+        obj = json.load(handle)
+    for bad in ({"num": "x", "den": "2"}, {"num": 1.5, "den": "1"}):
+        obj["columns"][0][0] = bad
+        path = write_json(tmp_path, "bad_scalar.json", obj)
+        code = run(["locder", "verify", chain3_file, path, "--mode", "spanning"])
+        assert code == 2
+        assert "numerator" in capsys.readouterr().err
+
+
 def test_locder_lemmas_pass(capsys, chain3_file, good_map_file):
     code, obj, _ = run_json(capsys, ["locder", "lemmas", chain3_file, good_map_file])
     assert code == 0
@@ -250,6 +264,13 @@ def test_theorem_random_text(capsys, chain3_file):
     out = capsys.readouterr().out
     assert "verdict: confirmed" in out
     assert "trials: 4" in out
+
+
+def test_theorem_random_trials_must_be_positive(capsys, chain3_file):
+    # Zero or negative trials would make "confirmed" vacuous.
+    for trials in ("0", "-5"):
+        assert run(["theorem", "random", chain3_file, "--trials", trials]) == 2
+        assert "--trials" in capsys.readouterr().err
 
 
 def test_out_flag_writes_file(capsys, tmp_path, chain3_file):

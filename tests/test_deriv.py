@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fia._linalg import rref
+from fia._linalg import add_row, rref
 from fia.deriv import (
     LinearEndo,
     coboundary,
@@ -191,6 +191,15 @@ def test_h1_crown_has_outer_derivation():
         for b in inner_basis(CROWN, QQ)
     ]
     assert not endo_in_span(d, rref(rows, QQ))
+
+
+def test_add_row_counts_rank_and_matches_rref_pivots():
+    rows = [{0: 2, 2: 1}, {0: 4, 2: 2}, {1: 3}, {0: 1, 1: 1, 2: 5}]
+    pivots = {}
+    grew = [add_row(pivots, row, GF(7)) for row in rows]
+    assert grew == [True, False, True, True]
+    assert set(pivots) == set(rref(rows, GF(7))) == {0, 1, 2}
+    assert all(pivots[lead][lead] == 1 for lead in pivots)
 
 
 # -- transitive maps and cocycles ------------------------------------------

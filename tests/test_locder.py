@@ -1,8 +1,10 @@
+import itertools
 import json
 import random
 
 import pytest
 
+from fia import locder
 from fia.deriv import (
     LinearEndo,
     derivation_basis,
@@ -14,9 +16,12 @@ from fia.deriv import (
 from fia.fialg import delta, element, unit
 from fia.locder import (
     CapExceededError,
+    LocalCheckReport,
+    _first_witnessless,
     check_local_exhaustive,
     check_local_spanning,
     lemma_conformance,
+    local_dimension,
     theorem_verify_enumerate,
     theorem_verify_random,
     witness_for,
@@ -28,9 +33,22 @@ from helpers import (
     ANTICHAIN2,
     CHAIN2,
     CHAIN3,
+    CROWN,
+    DIAMOND,
     SINGLETON,
     random_derivation,
     random_element,
+)
+
+# One poset of each shape with at most four comparable pairs.
+SMALL_POSETS = (
+    parse_poset("elements:\n"),
+    SINGLETON,
+    ANTICHAIN2,
+    CHAIN2,
+    parse_poset("elements: a b c\n"),
+    parse_poset("elements: a b c\na < b\n"),
+    parse_poset("elements: a b c d\n"),
 )
 
 
@@ -133,6 +151,33 @@ def test_exhaustive_empty_poset():
     report = check_local_exhaustive(LinearEndo.zero(empty, GF(2)))
     assert report.verdict == "local_derivation"
     assert report.probes_checked == 1
+
+
+def test_exhaustive_derivation_report_matches_full_scan():
+    # A derivation is accepted without probing; the report must be the
+    # one a full scan of every probe would give.
+    rng = random.Random(29)
+    cases = [(poset, GF(2)) for poset in SMALL_POSETS]
+    cases += [(CHAIN2, GF(3)), (CHAIN3, GF(2))]
+    for poset, ring in cases:
+        basis = derivation_basis(poset, ring)
+        basis_cols = [b.cols for b in basis]
+        total = ring.p ** poset.npairs
+        for _ in range(3):
+            d = random_derivation(poset, ring, rng, basis)
+            scan = _first_witnessless(poset, ring, d.cols, basis_cols, 0, total)
+            assert scan is None
+            expected = LocalCheckReport(
+                "exhaustive", "local_derivation", total, ring.designator()
+            )
+            assert check_local_exhaustive(d).to_json() == expected.to_json()
+
+
+def test_exhaustive_probe_cap_applies_to_derivations():
+    basis = derivation_basis(CHAIN3, GF(2))
+    d = random_derivation(CHAIN3, GF(2), random.Random(5), basis)
+    with pytest.raises(CapExceededError, match="probe-cap"):
+        check_local_exhaustive(d, probe_cap=63)
 
 
 def test_exhaustive_worker_count_does_not_change_report():
@@ -307,10 +352,60 @@ def test_enumerate_endo_cap():
         theorem_verify_enumerate(CHAIN2, 3, endo_cap=100)
 
 
-def test_enumerate_worker_count_does_not_change_report():
-    one = theorem_verify_enumerate(CHAIN2, 2, workers=1)
-    four = theorem_verify_enumerate(CHAIN2, 2, workers=4)
-    assert one.to_json() == four.to_json()
+def scan_endomorphisms(poset, p):
+    """Walk every endomorphism over GF(p): (derivations, local ones, agree).
+
+    The endomorphism walk that theorem enumeration used before it went
+    by rank: each map is tested with the Leibniz check and with a full
+    probe scan, independently of the local-derivation space.
+    """
+    ring = GF(p)
+    n = poset.npairs
+    basis_cols = [b.cols for b in derivation_basis(poset, ring)]
+    probe_total = p ** n
+    n_der = n_loc = 0
+    agree = True
+    for entries in itertools.product(range(p), repeat=n * n):
+        cols = [list(entries[c * n:(c + 1) * n]) for c in range(n)]
+        der = is_derivation(LinearEndo(poset, ring, cols))
+        loc = (
+            _first_witnessless(poset, ring, cols, basis_cols, 0, probe_total)
+            is None
+        )
+        n_der += der
+        n_loc += loc
+        agree = agree and der == loc
+    return n_der, n_loc, agree
+
+
+def test_enumerate_matches_endomorphism_scan():
+    cases = [(poset, 2) for poset in SMALL_POSETS] + [(CHAIN2, 3)]
+    for poset, p in cases:
+        n_der, n_loc, agree = scan_endomorphisms(poset, p)
+        report = theorem_verify_enumerate(poset, p)
+        assert report.s_der == n_der
+        assert report.s_loc == n_loc
+        assert report.probes_checked == p ** (poset.npairs ** 2)
+        assert report.verdict == ("confirmed" if agree else "REFUTED")
+
+
+def test_local_dimension_equals_derivation_dimension():
+    # Out of reach of an endomorphism walk: 2^36, 2^81 and 3^64 maps.
+    for poset, ring in ((CHAIN3, GF(2)), (DIAMOND, GF(2)), (CROWN, GF(3))):
+        assert local_dimension(poset, ring) == len(derivation_basis(poset, ring))
+
+
+def test_local_dimension_needs_prime_field():
+    with pytest.raises(RingError):
+        local_dimension(CHAIN2, QQ)
+
+
+def test_enumerate_refutes_when_dimensions_differ(monkeypatch):
+    monkeypatch.setattr(locder, "local_dimension", lambda poset, ring: 3)
+    report = theorem_verify_enumerate(CHAIN2, 2)
+    assert report.verdict == "REFUTED"
+    assert report.s_der == 4
+    assert report.s_loc == 8
 
 
 # -- theorem harness: random campaigns ----------------------------------------
@@ -352,6 +447,47 @@ def test_random_campaign_deterministic_across_workers():
     one = theorem_verify_random(CHAIN3, GF(5), trials=6, seed=3, workers=1)
     four = theorem_verify_random(CHAIN3, GF(5), trials=6, seed=3, workers=4)
     assert one.to_json() == four.to_json()
+
+
+class _FakeContext:
+    """Stands in for a fork context; records pool sizes, runs inline."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, payloads):
+        return map(fn, payloads)
+
+
+def test_pool_size_is_clamped_to_cpu_count(monkeypatch):
+    ctx = _FakeContext()
+    monkeypatch.setattr(locder.multiprocessing, "get_context", lambda kind: ctx)
+    monkeypatch.setattr(locder.os, "cpu_count", lambda: 3)
+    out = list(locder._map_ordered(abs, list(range(-50, 0)), 10_000))
+    assert out == list(range(50, 0, -1))
+    assert ctx.sizes == [3]
+    out = list(locder._map_ordered(abs, [-1, -2], 10_000))
+    assert ctx.sizes == [3, 2]
+
+
+def test_pool_is_skipped_with_one_cpu(monkeypatch):
+    def no_pool(kind):
+        raise AssertionError("no pool should start")
+
+    monkeypatch.setattr(locder.multiprocessing, "get_context", no_pool)
+    for cpus in (1, None):
+        monkeypatch.setattr(locder.os, "cpu_count", lambda: cpus)
+        assert list(locder._map_ordered(abs, [-1, -2, -3], 64)) == [1, 2, 3]
 
 
 def test_threads_env_controls_default_workers(monkeypatch):

@@ -196,3 +196,36 @@ def test_scalar_from_json_validation():
         GF(5).scalar_from_json({"res": "2"})
     with pytest.raises(RingError):
         GF(5).scalar_from_json([2])
+
+
+def test_scalar_from_json_rejects_non_decimal_string():
+    with pytest.raises(RingError, match="numerator"):
+        QQ.scalar_from_json({"num": "x", "den": "2"})
+    with pytest.raises(RingError, match="denominator"):
+        QQ.scalar_from_json({"num": "1", "den": "1.5"})
+    with pytest.raises(RingError, match="integer"):
+        ZZ.scalar_from_json({"int": " 7"})
+    with pytest.raises(RingError, match="integer"):
+        ZZ.scalar_from_json({"int": "9" * 5000})
+    assert QQ.scalar_from_json({"num": "-3", "den": "4"}) == Fraction(-3, 4)
+    assert ZZ.scalar_from_json({"int": 7}) == 7
+
+
+def test_scalar_from_json_rejects_floats():
+    with pytest.raises(RingError, match="numerator"):
+        QQ.scalar_from_json({"num": 1.5, "den": "1"})
+    with pytest.raises(RingError, match="denominator"):
+        QQ.scalar_from_json({"num": "1", "den": 2.0})
+    with pytest.raises(RingError):
+        ZZ.scalar_from_json({"int": 1.5})
+    with pytest.raises(RingError):
+        GF(5).scalar_from_json({"res": 1.0})
+
+
+def test_scalar_from_json_rejects_booleans():
+    with pytest.raises(RingError):
+        GF(5).scalar_from_json({"res": True})
+    with pytest.raises(RingError):
+        QQ.scalar_from_json({"num": True, "den": "1"})
+    with pytest.raises(RingError):
+        ZZ.scalar_from_json({"int": False})
