@@ -1,6 +1,9 @@
 """Exact Gaussian elimination over a coefficient field.
 
 Rows are sparse dicts mapping variable index to a nonzero raw value.
+add_row is the one elimination step: it grows an echelon basis by one
+row.  rref is add_row plus back substitution, and solve is rref on the
+augmented rows; nullspace and reduce_vector only read echelon rows.
 Pivots always sit on the smallest variable present, so the reduced
 echelon form, the pivot set and the nullspace basis depend only on the
 row space and the variable order, never on the order rows arrive in.
@@ -81,7 +84,11 @@ def nullspace(pivot_rows: dict[int, dict], nvars: int, ring) -> list[list]:
 
 
 def reduce_vector(vec: dict, pivot_rows: dict[int, dict], ring) -> dict:
-    """Residual of a sparse vector against an rref basis; empty iff in span."""
+    """Residual of a sparse vector against echelon rows; empty iff in span.
+
+    The rows may come from add_row alone or from rref: each is eliminated
+    at its pivot in increasing pivot order.
+    """
     zero = ring.zero
     row = {c: v for c, v in vec.items() if v != zero}
     for lead in sorted(pivot_rows):
@@ -98,45 +105,26 @@ def reduce_vector(vec: dict, pivot_rows: dict[int, dict], ring) -> dict:
 
 
 def solve(rows: list[list], rhs: list, ring):
-    """One exact solution of A x = b, or None if inconsistent.
+    """The canonical exact solution of A x = b, or None if inconsistent.
 
-    Dense elimination with deterministic first-nonzero pivoting; free
-    variables are set to zero, so the solution is canonical.
+    The rref of the augmented rows [A | b] carries b as one more
+    variable, the last; the system is inconsistent iff that variable is
+    a pivot.  Free variables are set to zero, so each pivot variable
+    takes its row's entry on the last variable.  The rref is unique for
+    the column order, hence so is the solution.
     """
     zero = ring.zero
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivot_of_col = {}
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, m):
-            if aug[i][col] != zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = ring.inv(aug[rank][col])
-        aug[rank] = [ring.mul(v, inv) for v in aug[rank]]
-        prow = aug[rank]
-        for i in range(m):
-            if i == rank:
-                continue
-            factor = aug[i][col]
-            if factor == zero:
-                continue
-            arow = aug[i]
-            for j in range(col, ncols + 1):
-                if prow[j] != zero:
-                    arow[j] = ring.sub(arow[j], ring.mul(factor, prow[j]))
-        pivot_of_col[col] = rank
-        rank += 1
-    for i in range(rank, m):
-        if aug[i][ncols] != zero:
-            return None
+    ncols = len(rows[0]) if rows else 0
+    pivots = rref(
+        (
+            {c: v for c, v in enumerate([*row, b]) if v != zero}
+            for row, b in zip(rows, rhs)
+        ),
+        ring,
+    )
+    if ncols in pivots:
+        return None
     solution = [zero] * ncols
-    for col, i in pivot_of_col.items():
-        solution[col] = aug[i][ncols]
+    for lead, row in pivots.items():
+        solution[lead] = row.get(ncols, zero)
     return solution

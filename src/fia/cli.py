@@ -24,12 +24,22 @@ def _canonical_json(obj) -> str:
 
 def _read_poset(path):
     with open(path, encoding="utf-8") as handle:
-        return parse_poset(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise PosetError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_poset(text)
 
 
 def _read_endo(path, poset, ring_flag):
     with open(path, encoding="utf-8") as handle:
-        obj = json.load(handle)
+        # Bad UTF-8, bad JSON syntax and integer literals longer than
+        # int() converts raise ValueError; nesting deeper than the
+        # decoder's recursion limit raises RecursionError.
+        try:
+            obj = json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise AlgebraError(f"{path} is not a readable map JSON: {exc}") from None
     d = deriv.endo_from_json(poset, obj)
     if ring_flag is not None and parse_ring(ring_flag) != d.ring:
         raise RingError(
@@ -297,7 +307,6 @@ def run(argv) -> int:
         AlgebraError,
         locder.CapExceededError,
         OSError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

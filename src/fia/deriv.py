@@ -367,6 +367,18 @@ def _vec_to_endo(poset, ring, vec) -> LinearEndo:
     return LinearEndo(poset, ring, [list(vec[c * n:(c + 1) * n]) for c in range(n)])
 
 
+def _endo_to_vec(endo: LinearEndo) -> dict:
+    """The sparse vector {c*N + r: value} of the nonzero entries of endo."""
+    n = endo.poset.npairs
+    zero_raw = endo.ring.zero
+    return {
+        c * n + r: v
+        for c, col in enumerate(endo.cols)
+        for r, v in enumerate(col)
+        if v != zero_raw
+    }
+
+
 @lru_cache(maxsize=64)
 def _derivation_basis(poset: Poset, ring: CoeffRing):
     _require_field(ring)
@@ -404,13 +416,7 @@ def _inner_basis(poset: Poset, ring: CoeffRing):
     zero_raw = ring.zero
     rows = []
     for i, j in poset.ipairs:
-        e = unit(poset, ring, els[i], els[j])
-        endo = inner(e)
-        row = {}
-        for c, col in enumerate(endo.cols):
-            for r, v in enumerate(col):
-                if v != zero_raw:
-                    row[c * n + r] = v
+        row = _endo_to_vec(inner(unit(poset, ring, els[i], els[j])))
         if row:
             rows.append(row)
     pivots = _linalg.rref(rows, ring)
@@ -435,28 +441,12 @@ def h1_dimension(poset: Poset, ring: CoeffRing) -> int:
 
 def derivation_span_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
     """The rref of the derivation space, for exact membership tests."""
-    n = poset.npairs
-    zero_raw = ring.zero
-    rows = []
-    for endo in _derivation_basis(poset, ring):
-        row = {}
-        for c, col in enumerate(endo.cols):
-            for r, v in enumerate(col):
-                if v != zero_raw:
-                    row[c * n + r] = v
-        rows.append(row)
+    rows = [_endo_to_vec(endo) for endo in _derivation_basis(poset, ring)]
     return _linalg.rref(rows, ring)
 
 
 def endo_in_span(d: LinearEndo, span_rref: dict[int, dict]) -> bool:
-    n = d.poset.npairs
-    zero_raw = d.ring.zero
-    vec = {}
-    for c, col in enumerate(d.cols):
-        for r, v in enumerate(col):
-            if v != zero_raw:
-                vec[c * n + r] = v
-    return not _linalg.reduce_vector(vec, span_rref, d.ring)
+    return not _linalg.reduce_vector(_endo_to_vec(d), span_rref, d.ring)
 
 
 # -- constructive decomposition -------------------------------------------

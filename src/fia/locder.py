@@ -2,7 +2,8 @@
 
 A linear map d is a local derivation when every element a has a
 derivation witness agreeing with d there, i.e. d(a) lies in the subspace
-W_a = {D(a) : D a derivation}; witnesses come from exact linear solves.
+W_a = {D(a) : D a derivation}; the test is exact elimination into an
+echelon basis of W_a.
 The condition is linear in d, so the local derivations form a subspace
 Loc containing the derivations Der.
 
@@ -15,15 +16,12 @@ elements) and never certifies.
 
 The theorem harnesses compare Loc with Der, either by rank over a prime
 field (dim Loc against dim Der, which settles all p^(n^2) endomorphisms
-at once) or by seeded random campaigns.  Probe scans and campaigns are
-chunked; chunk boundaries and the merge are fixed, so FIA_THREADS
-changes the wall clock and never a report byte.
+at once) or by seeded random campaigns.  Everything runs in one process,
+in a fixed order, so a report depends only on its inputs.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -40,14 +38,11 @@ from .deriv import (
     is_derivation,
 )
 from .fialg import FiElement, element, restrict, subset_idempotent, unit
-from .poset import Poset, parse_poset
-from .scalars import GF, CoeffRing, RingError, parse_ring
+from .poset import Poset
+from .scalars import GF, CoeffRing, RingError
 
 DEFAULT_PROBE_CAP = 1 << 20
 DEFAULT_ENDO_CAP = 1 << 24
-
-_PROBE_CHUNK = 4096
-_SAMPLE_CHUNK = 4
 
 VERDICT_LOCAL = "local_derivation"
 VERDICT_REJECTED = "rejected"
@@ -154,37 +149,6 @@ class TheoremReport:
         return out
 
 
-# -- worker plumbing -------------------------------------------------------
-
-
-def _workers(explicit=None) -> int:
-    if explicit is not None:
-        return max(1, int(explicit))
-    try:
-        return max(1, int(os.environ.get("FIA_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _chunk_ranges(total: int, size: int):
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
-
-def _map_ordered(fn, payloads, workers):
-    """Apply fn to payloads, yielding results in payload order.
-
-    The pool never has more processes than payloads or CPUs.
-    """
-    nproc = min(workers, len(payloads), os.cpu_count() or 1)
-    if nproc <= 1:
-        for p in payloads:
-            yield fn(p)
-        return
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(nproc) as pool:
-        yield from pool.imap(fn, payloads)
-
-
 # -- witnesses -------------------------------------------------------------
 
 
@@ -209,11 +173,17 @@ def _matvec(ring, cols, vec, n):
     return out
 
 
-def _vec_has_witness(ring, basis_cols, d_cols, vec, n):
-    images = [_matvec(ring, cols, vec, n) for cols in basis_cols]
-    target = _matvec(ring, d_cols, vec, n)
-    rows = [[img[t] for img in images] for t in range(n)]
-    return _linalg.solve(rows, target, ring)
+def _sparse(vec) -> dict:
+    return {r: v for r, v in enumerate(vec) if v}
+
+
+def _vec_has_witness(ring, basis_cols, d_cols, vec, n) -> bool:
+    """Whether d(a) lies in W_a = span{D(a)}, for a given as a dense vector."""
+    w_a: dict[int, dict] = {}
+    for cols in basis_cols:
+        _linalg.add_row(w_a, _sparse(_matvec(ring, cols, vec, n)), ring)
+    target = _sparse(_matvec(ring, d_cols, vec, n))
+    return not _linalg.reduce_vector(target, w_a, ring)
 
 
 def witness_for(d: LinearEndo, a: FiElement, der_basis) -> Witness | None:
@@ -221,8 +191,9 @@ def witness_for(d: LinearEndo, a: FiElement, der_basis) -> Witness | None:
     ring = d.ring
     n = d.poset.npairs
     vec = _dense_vector(d.poset, a)
-    basis_cols = [b.cols for b in der_basis]
-    sol = _vec_has_witness(ring, basis_cols, d.cols, vec, n)
+    images = [_matvec(ring, b.cols, vec, n) for b in der_basis]
+    rows = [[img[t] for img in images] for t in range(n)]
+    sol = _linalg.solve(rows, _matvec(ring, d.cols, vec, n), ring)
     if sol is None:
         return None
     witness = LinearEndo.zero(d.poset, ring)
@@ -260,8 +231,8 @@ def _probe_element(poset: Poset, ring: CoeffRing, index: int) -> FiElement:
     return FiElement(poset, ring, entries)
 
 
-def _first_witnessless(poset, ring, d_cols, basis_cols, lo, hi):
-    """Least probe index in [lo, hi) with no witness, or None.
+def _first_witnessless(poset, ring, d_cols, basis_cols):
+    """Least probe index with no witness, or None.
 
     Probe i is the element whose coefficient on the t-th canonical pair is
     the t-th base-p digit of i, so probe 0 is zero and probing all
@@ -269,24 +240,17 @@ def _first_witnessless(poset, ring, d_cols, basis_cols, lo, hi):
     """
     n = poset.npairs
     p = ring.p
-    digits = _decode_digits(lo, p, n)
-    for e in range(lo, hi):
-        if _vec_has_witness(ring, basis_cols, d_cols, digits, n) is None:
+    digits = [0] * n
+    for e in range(p ** n):
+        if not _vec_has_witness(ring, basis_cols, d_cols, digits, n):
             return e
         _increment(digits, p)
     return None
 
 
-def _scan_probe_chunk(payload):
-    poset_text, p, d_cols, basis_cols, lo, hi = payload
-    poset = parse_poset(poset_text)
-    return _first_witnessless(poset, GF(p), d_cols, basis_cols, lo, hi)
-
-
 def check_local_exhaustive(
     d: LinearEndo,
     probe_cap: int | None = None,
-    workers: int | None = None,
 ) -> LocalCheckReport:
     """Probe every algebra element over a prime field.
 
@@ -310,20 +274,7 @@ def check_local_exhaustive(
     if endo_in_span(d, derivation_span_rref(poset, ring)):
         return LocalCheckReport("exhaustive", VERDICT_LOCAL, total, designator)
     basis_cols = [b.cols for b in derivation_basis(poset, ring)]
-    nworkers = _workers(workers)
-    fail = None
-    if nworkers <= 1:
-        fail = _first_witnessless(poset, ring, d.cols, basis_cols, 0, total)
-    else:
-        text = poset.serialize()
-        payloads = [
-            (text, ring.p, d.cols, basis_cols, lo, hi)
-            for lo, hi in _chunk_ranges(total, _PROBE_CHUNK)
-        ]
-        for result in _map_ordered(_scan_probe_chunk, payloads, nworkers):
-            if result is not None:
-                fail = result
-                break
+    fail = _first_witnessless(poset, ring, d.cols, basis_cols)
     if fail is None:
         return LocalCheckReport("exhaustive", VERDICT_LOCAL, total, designator)
     return LocalCheckReport(
@@ -402,7 +353,7 @@ def check_local_spanning(
     for probe in _spanning_probes(poset, ring, seed, random_probes, subset_limit, cap):
         vec = _dense_vector(poset, probe)
         checked += 1
-        if _vec_has_witness(ring, basis_cols, d.cols, vec, n) is None:
+        if not _vec_has_witness(ring, basis_cols, d.cols, vec, n):
             return LocalCheckReport(
                 "spanning",
                 VERDICT_REJECTED,
@@ -551,9 +502,7 @@ def local_dimension(poset: Poset, ring: CoeffRing) -> int:
         if next(v for v in digits if v) != 1:
             continue
         images = (_matvec(ring, cols, digits, n) for cols in basis_cols)
-        w_a = _linalg.rref(
-            ({r: v for r, v in enumerate(img) if v} for img in images), ring
-        )
+        w_a = _linalg.rref((_sparse(img) for img in images), ring)
         for y in _linalg.nullspace(w_a, n, ring):
             row = {
                 c * n + r: ring.mul(a, v)
@@ -602,7 +551,7 @@ def _random_endo_cols(poset, ring, rng):
 def _check_der_sample(poset, ring, cols, use_exhaustive, span_seed, cap):
     d = LinearEndo(poset, ring, cols)
     if use_exhaustive:
-        report = check_local_exhaustive(d, probe_cap=cap, workers=1)
+        report = check_local_exhaustive(d, probe_cap=cap)
         ok_local = report.verdict == VERDICT_LOCAL
     else:
         report = check_local_spanning(d, seed=span_seed, probe_cap=cap)
@@ -615,21 +564,10 @@ def _check_der_sample(poset, ring, cols, use_exhaustive, span_seed, cap):
 def _check_non_sample(poset, ring, cols, use_exhaustive, span_seed, cap):
     d = LinearEndo(poset, ring, cols)
     if use_exhaustive:
-        report = check_local_exhaustive(d, probe_cap=cap, workers=1)
+        report = check_local_exhaustive(d, probe_cap=cap)
     else:
         report = check_local_spanning(d, seed=span_seed, probe_cap=cap)
     return report.verdict == VERDICT_REJECTED, report.probes_checked
-
-
-def _scan_sample_chunk(payload):
-    kind, poset_text, designator, items, use_exhaustive, cap = payload
-    poset = parse_poset(poset_text)
-    ring = parse_ring(designator)
-    check = _check_der_sample if kind == "der" else _check_non_sample
-    return [
-        check(poset, ring, cols, use_exhaustive, span_seed, cap)
-        for cols, span_seed in items
-    ]
 
 
 def theorem_verify_random(
@@ -638,7 +576,6 @@ def theorem_verify_random(
     trials: int = 50,
     seed: int = 0,
     probe_cap: int | None = None,
-    workers: int | None = None,
 ) -> TheoremReport:
     """Seeded random campaigns for the theorem.
 
@@ -678,23 +615,14 @@ def theorem_verify_random(
     der_seeds = [rng.randrange(1 << 32) for _ in range(trials)]
     non_seeds = [rng.randrange(1 << 32) for _ in range(len(non_samples))]
 
-    nworkers = _workers(workers)
-    text = poset.serialize()
-    designator = ring.designator()
-
-    def run(kind, samples, seeds):
-        items = list(zip(samples, seeds))
-        payloads = [
-            (kind, text, designator, items[lo:hi], use_exhaustive, cap)
-            for lo, hi in _chunk_ranges(len(items), _SAMPLE_CHUNK)
-        ]
-        results = []
-        for chunk in _map_ordered(_scan_sample_chunk, payloads, nworkers):
-            results.extend(chunk)
-        return results
-
-    der_results = run("der", der_samples, der_seeds)
-    non_results = run("non", non_samples, non_seeds)
+    der_results = [
+        _check_der_sample(poset, ring, cols, use_exhaustive, span_seed, cap)
+        for cols, span_seed in zip(der_samples, der_seeds)
+    ]
+    non_results = [
+        _check_non_sample(poset, ring, cols, use_exhaustive, span_seed, cap)
+        for cols, span_seed in zip(non_samples, non_seeds)
+    ]
 
     probes = sum(r[-1] for r in der_results) + sum(r[-1] for r in non_results)
     der_ok = all(ok_local and ok_dec for ok_local, ok_dec, _ in der_results)
@@ -707,7 +635,7 @@ def theorem_verify_random(
     return TheoremReport(
         "random",
         verdict,
-        designator,
+        ring.designator(),
         s_der,
         s_loc,
         probes,

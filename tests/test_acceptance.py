@@ -6,7 +6,8 @@ are re-established here by independent oracles: brute-force Leibniz
 checks through convolve, full scans of enumerated derivation sets, and
 entry-level reconstructions of the algebra operations.  The final test
 repeats the report-producing runs with FIA_THREADS set to 1 and to 4
-and demands byte-identical JSON.
+and demands byte-identical JSON; the library reads no environment
+variable, so this is a rerun-determinism check.
 """
 
 import hashlib

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fia
 from fia.cli import run
 from fia.deriv import derivation_basis, inner, sigma_endo, transitive_map
 from fia.fialg import element, element_from_json
@@ -59,6 +62,14 @@ def z2_map_file(tmp_path):
 
     basis = derivation_basis(CHAIN2, GF(2))
     return write_json(tmp_path, "der2.json", (basis[0] + basis[1]).to_json())
+
+
+def child_env():
+    """The environment for a child Python that imports fia from this tree."""
+    src = str(Path(fia.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_json(capsys, argv):
@@ -198,6 +209,42 @@ def test_locder_verify_malformed_json(capsys, chain2_file, tmp_path):
     assert run(["locder", "verify", chain2_file, str(path)]) == 2
 
 
+def test_non_utf8_poset_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin1.poset"
+    path.write_bytes(b"elements: a \xff\na < \xff\n")
+    assert run(["poset", "check", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_map_is_exit_2(capsys, chain3_file, good_map_file, tmp_path):
+    with open(good_map_file, encoding="utf-8") as handle:
+        text = handle.read()
+    for name, data in (
+        ("byte.json", b"\xff" + text.encode()),
+        ("utf16.json", text.encode("utf-16")),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run(["locder", "verify", chain3_file, str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_oversized_json_integer_is_exit_2(capsys, chain2_file, tmp_path):
+    # More digits than int() converts makes json.load raise a plain
+    # ValueError; it must read as a parse error, not a refutation.
+    path = tmp_path / "huge.json"
+    path.write_text('{"res": ' + "1" * 5000 + "}")
+    assert run(["locder", "verify", chain2_file, str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_is_exit_2(capsys, chain2_file, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert run(["locder", "verify", chain2_file, str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_locder_verify_bad_scalar_exit_2(
     capsys, tmp_path, chain3_file, good_map_file
 ):
@@ -300,11 +347,25 @@ def test_usage_errors_exit_2():
     assert run([]) == 2
 
 
+def test_cli_import_leaves_multiprocessing_out():
+    # Everything runs in one process, so start-up need not pay for it.
+    code = "import sys, fia.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=child_env(),
+    )
+    assert proc.stdout == "False\n"
+
+
 def test_installed_entry_point(chain2_file):
     proc = subprocess.run(
         [sys.executable, "-m", "fia.cli", "poset", "check", chain2_file],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout

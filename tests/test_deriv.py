@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fia._linalg import add_row, rref
+from fia._linalg import add_row, rref, solve
 from fia.deriv import (
     LinearEndo,
     coboundary,
@@ -200,6 +200,40 @@ def test_add_row_counts_rank_and_matches_rref_pivots():
     assert grew == [True, False, True, True]
     assert set(pivots) == set(rref(rows, GF(7))) == {0, 1, 2}
     assert all(pivots[lead][lead] == 1 for lead in pivots)
+
+
+def test_solve_against_enumeration_over_gf3():
+    # Solver-free oracle: every x in GF(3)^k is tried by hand.
+    ring = GF(3)
+    rng = random.Random(41)
+
+    def matvec(a, x, k):
+        return [sum(row[j] * x[j] for j in range(k)) % 3 for row in a]
+
+    outcomes = set()
+    for _ in range(200):
+        k = rng.randint(1, 4)
+        m = rng.randint(1, 5)
+        a = [[rng.randrange(3) for _ in range(k)] for _ in range(m)]
+        b = [rng.randrange(3) for _ in range(m)]
+        space = list(itertools.product(range(3), repeat=k))
+        solvable = any(matvec(a, x, k) == b for x in space)
+        x = solve(a, b, ring)
+        assert (x is None) == (not solvable)
+        outcomes.add(solvable)
+        if x is None:
+            continue
+        assert matvec(a, x, k) == b
+        for j in range(k):
+            col_j = [row[j] for row in a]
+            earlier = itertools.product(range(3), repeat=j)
+            dependent = any(
+                [sum(row[t] * c[t] for t in range(j)) % 3 for row in a] == col_j
+                for c in earlier
+            )
+            if dependent:
+                assert x[j] == 0
+    assert outcomes == {True, False}
 
 
 # -- transitive maps and cocycles ------------------------------------------
