@@ -86,8 +86,9 @@ def nullspace(pivot_rows: dict[int, dict], nvars: int, ring) -> list[list]:
 def reduce_vector(vec: dict, pivot_rows: dict[int, dict], ring) -> dict:
     """Residual of a sparse vector against echelon rows; empty iff in span.
 
-    The rows may come from add_row alone or from rref: each is eliminated
-    at its pivot in increasing pivot order.
+    The rows may come from add_row alone, or be fully reduced in either
+    variable order: each is eliminated at its pivot in increasing pivot
+    order, which leaves the other pivots of such rows untouched.
     """
     zero = ring.zero
     row = {c: v for c, v in vec.items() if v != zero}

@@ -17,6 +17,10 @@ from .fialg import AlgebraError
 from .poset import PosetError, parse_poset
 from .scalars import RingError, parse_ring
 
+# der basis prints dim Der maps of npairs^2 scalars each; the 12-chain over
+# q (77 * 78^2 = 468,468 scalars) peaks near 200 MB.
+BASIS_SCALAR_CAP = 1 << 20
+
 
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -84,6 +88,12 @@ def _cmd_poset_check(args):
 def _cmd_der_basis(args):
     poset = _read_poset(args.poset)
     ring = parse_ring(args.ring)
+    n = poset.npairs
+    scalars = deriv.derivation_dimension(poset, ring) * n * n
+    if scalars > BASIS_SCALAR_CAP:
+        raise AlgebraError(
+            f"the basis has {scalars} scalars, above the cap of {BASIS_SCALAR_CAP}"
+        )
     basis = deriv.derivation_basis(poset, ring)
     payload = {
         "mode": "der-basis",
@@ -98,8 +108,8 @@ def _cmd_der_basis(args):
 def _cmd_der_h1(args):
     poset = _read_poset(args.poset)
     ring = parse_ring(args.ring)
-    dim_der = len(deriv.derivation_basis(poset, ring))
-    dim_inner = len(deriv.inner_basis(poset, ring))
+    dim_der = deriv.derivation_dimension(poset, ring)
+    dim_inner = deriv.inner_dimension(poset, ring)
     payload = {
         "mode": "der-h1",
         "ring": ring.designator(),
@@ -261,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", default=None)
     p.add_argument("--mode", choices=("exhaustive", "spanning"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probe-cap", type=int, default=None)
+    p.add_argument("--probe-cap", type=_positive_int, default=None)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_locder_verify)
     p = locder_group.add_parser("lemmas")
@@ -286,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", default="q")
     p.add_argument("--trials", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probe-cap", type=int, default=None)
+    p.add_argument("--probe-cap", type=_positive_int, default=None)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_theorem_random)
 

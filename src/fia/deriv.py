@@ -2,36 +2,26 @@
 
 A linear endomorphism is an N x N matrix over the coefficient ring, N the
 number of comparable pairs; column t is the image of the t-th basis unit.
-The derivation space is the exact nullspace of the Leibniz system on all
-basis-unit products, inner derivations are the commutator maps, and every
-derivation splits as an inner part plus a diagonal part coming from an
-additive-on-intervals function of pairs.  decompose() computes that
-splitting constructively and reports the residual, which is zero exactly
-on derivations.
+Der is described one way: every derivation splits as an inner part
+[alpha, .] plus the diagonal map D_sigma of an additive-on-intervals
+function sigma of pairs, and every such sum is a derivation.  _split reads
+alpha and sigma off a map and lists what the split leaves over; is_derivation
+and decompose read their answers off it.  The derivation space is the
+exact span of the commutator maps [e_xy, .] and of D_sigma over a cocycle
+basis, reduced once; its basis, its dimension and h1 = dim Der - dim Inner
+come from that elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from . import _linalg
-from .fialg import AlgebraError, FiElement, convolve, unit, zero as zero_element
+from .fialg import AlgebraError, FiElement, convolve, unit
 from .poset import Poset
 from .scalars import CoeffRing, RingError, Scalar
-
-
-@lru_cache(maxsize=256)
-def _basis_products(poset: Poset):
-    """Table of basis-unit products: position of e_i e_j, or -1 when zero."""
-    ip = poset.ipairs
-    table = []
-    for (x, y) in ip:
-        row = []
-        for (u, v) in ip:
-            row.append(poset.pair_pos(x, v) if y == u else -1)
-        table.append(tuple(row))
-    return tuple(table)
 
 
 class LinearEndo:
@@ -134,10 +124,6 @@ class LinearEndo:
             self.poset, ring, [[ring.mul(raw, v) for v in col] for col in self.cols]
         )
 
-    def nonzero_count(self) -> int:
-        zero_raw = self.ring.zero
-        return sum(1 for col in self.cols for v in col if v != zero_raw)
-
     def __eq__(self, other):
         if not isinstance(other, LinearEndo):
             return NotImplemented
@@ -180,40 +166,6 @@ def endo_from_json(poset: Poset, obj) -> LinearEndo:
             raise AlgebraError(f"each column needs {n} entries")
         cols.append([ring.scalar_from_json(v) for v in col])
     return LinearEndo(poset, ring, cols)
-
-
-def is_derivation(d: LinearEndo) -> bool:
-    """Whether d satisfies the Leibniz rule on every pair of basis units."""
-    poset, ring = d.poset, d.ring
-    n = poset.npairs
-    table = _basis_products(poset)
-    cols = d.cols
-    zero_raw = ring.zero
-    add = ring.add
-    for i in range(n):
-        row_i = table[i]
-        col_i = cols[i]
-        for j in range(n):
-            col_j = cols[j]
-            rhs = [zero_raw] * n
-            for a in range(n):
-                va = col_i[a]
-                if va != zero_raw:
-                    c = table[a][j]
-                    if c >= 0:
-                        rhs[c] = add(rhs[c], va)
-                vb = col_j[a]
-                if vb != zero_raw:
-                    c = row_i[a]
-                    if c >= 0:
-                        rhs[c] = add(rhs[c], vb)
-            k = row_i[j]
-            if k >= 0:
-                if rhs != cols[k]:
-                    return False
-            elif any(v != zero_raw for v in rhs):
-                return False
-    return True
 
 
 def inner(a: FiElement) -> LinearEndo:
@@ -320,136 +272,63 @@ def sigma_endo(sigma: TransitiveMap) -> LinearEndo:
     return d
 
 
-# -- the derivation space ------------------------------------------------
+# -- the split d = [alpha, .] + D_sigma --------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _leibniz_rows(poset: Poset):
-    """Integer-coefficient rows of the Leibniz system, variable (r, c) = c*N + r."""
-    n = poset.npairs
-    table = _basis_products(poset)
-    rows = []
-    for i in range(n):
-        row_i = table[i]
-        for j in range(n):
-            k = row_i[j]
-            by_row: dict[int, dict] = {}
-            if k >= 0:
-                for c in range(n):
-                    by_row[c] = {k * n + c: 1}
-            for a in range(n):
-                c = table[a][j]
-                if c >= 0:
-                    row = by_row.setdefault(c, {})
-                    var = i * n + a
-                    row[var] = row.get(var, 0) - 1
-                c = row_i[a]
-                if c >= 0:
-                    row = by_row.setdefault(c, {})
-                    var = j * n + a
-                    row[var] = row.get(var, 0) - 1
-            for row in by_row.values():
-                cleaned = {var: cf for var, cf in row.items() if cf != 0}
-                if cleaned:
-                    rows.append(tuple(sorted(cleaned.items())))
-    return tuple(sorted(set(rows)))
+def _split(d: LinearEndo):
+    """Read alpha and sigma off d, and what keeps d from [alpha, .] + D_sigma.
 
-
-def _require_field(ring: CoeffRing):
-    if not ring.is_field():
-        raise RingError(
-            f"nullspace computations need a field, not {ring.designator()}"
-        )
-
-
-def _vec_to_endo(poset, ring, vec) -> LinearEndo:
-    n = poset.npairs
-    return LinearEndo(poset, ring, [list(vec[c * n:(c + 1) * n]) for c in range(n)])
-
-
-def _endo_to_vec(endo: LinearEndo) -> dict:
-    """The sparse vector {c*N + r: value} of the nonzero entries of endo."""
-    n = endo.poset.npairs
-    zero_raw = endo.ring.zero
-    return {
-        c * n + r: v
-        for c, col in enumerate(endo.cols)
-        for r, v in enumerate(col)
-        if v != zero_raw
-    }
-
-
-@lru_cache(maxsize=64)
-def _derivation_basis(poset: Poset, ring: CoeffRing):
-    _require_field(ring)
-    n = poset.npairs
+    alpha(x, y) is the (x, y) coefficient of d(e_yy), and sigma(u, v) is
+    the (u, v) coefficient of d(e_uv) less that of [alpha, e_uv], which is
+    alpha(u, u) - alpha(v, v).  Off the diagonal, [alpha, e_uv] is
+    sum_x alpha(x, u) e_xv - sum_w alpha(v, w) e_uw; the third value
+    returned lazily yields, column by column, each position (c, r), r != c,
+    where d differs from it.
+    """
+    poset, ring = d.poset, d.ring
+    pos = poset.pair_pos
+    ipairs = poset.ipairs
+    cols = d.cols
     zero_raw = ring.zero
-    seen = set()
-    ring_rows = []
-    for int_row in _leibniz_rows(poset):
-        row = {}
-        for var, cf in int_row:
-            v = ring.from_int(cf)
-            if v != zero_raw:
-                row[var] = v
-        if not row:
-            continue
-        frozen = tuple(sorted(row.items()))
-        if frozen not in seen:
-            seen.add(frozen)
-            ring_rows.append(row)
-    pivots = _linalg.rref(ring_rows, ring)
-    vecs = _linalg.nullspace(pivots, n * n, ring)
-    return tuple(_vec_to_endo(poset, ring, v) for v in vecs)
+    alpha = {}
+    for t, (x, y) in enumerate(ipairs):
+        v = cols[pos(y, y)][t]
+        if v != zero_raw:
+            alpha[(x, y)] = v
+    sigma = {}
+    for t, (u, v) in enumerate(ipairs):
+        s = ring.sub(cols[t][t], alpha.get((u, u), zero_raw))
+        s = ring.add(s, alpha.get((v, v), zero_raw))
+        if s != zero_raw:
+            sigma[(u, v)] = s
+    ending_at, starting_at = {}, {}
+    for (x, y), v in alpha.items():
+        ending_at.setdefault(y, []).append((x, v))
+        starting_at.setdefault(x, []).append((y, ring.neg(v)))
+
+    def off_diagonal():
+        for c, (u, v) in enumerate(ipairs):
+            want = {pos(x, v): a for x, a in ending_at.get(u, ())}
+            want.update((pos(u, w), a) for w, a in starting_at.get(v, ()))
+            for r, got in enumerate(cols[c]):
+                if r != c and got != want.get(r, zero_raw):
+                    yield c, r
+
+    return (
+        FiElement(poset, ring, alpha),
+        TransitiveMap(poset, ring, sigma),
+        off_diagonal(),
+    )
 
 
-def derivation_basis(poset: Poset, ring: CoeffRing) -> list[LinearEndo]:
-    """Canonical basis of the space of derivations, by exact elimination."""
-    return list(_derivation_basis(poset, ring))
+def is_derivation(d: LinearEndo) -> bool:
+    """Whether d = [alpha, .] + D_sigma with sigma a cocycle.
 
-
-@lru_cache(maxsize=64)
-def _inner_basis(poset: Poset, ring: CoeffRing):
-    _require_field(ring)
-    n = poset.npairs
-    els = poset.elements
-    zero_raw = ring.zero
-    rows = []
-    for i, j in poset.ipairs:
-        row = _endo_to_vec(inner(unit(poset, ring, els[i], els[j])))
-        if row:
-            rows.append(row)
-    pivots = _linalg.rref(rows, ring)
-    basis = []
-    for lead in sorted(pivots):
-        vec = [zero_raw] * (n * n)
-        for var, v in pivots[lead].items():
-            vec[var] = v
-        basis.append(_vec_to_endo(poset, ring, vec))
-    return tuple(basis)
-
-
-def inner_basis(poset: Poset, ring: CoeffRing) -> list[LinearEndo]:
-    """Canonical basis of the span of commutator maps of basis units."""
-    return list(_inner_basis(poset, ring))
-
-
-def h1_dimension(poset: Poset, ring: CoeffRing) -> int:
-    """dim(derivations) - dim(inner derivations); zero when all are inner."""
-    return len(_derivation_basis(poset, ring)) - len(_inner_basis(poset, ring))
-
-
-def derivation_span_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
-    """The rref of the derivation space, for exact membership tests."""
-    rows = [_endo_to_vec(endo) for endo in _derivation_basis(poset, ring)]
-    return _linalg.rref(rows, ring)
-
-
-def endo_in_span(d: LinearEndo, span_rref: dict[int, dict]) -> bool:
-    return not _linalg.reduce_vector(_endo_to_vec(d), span_rref, d.ring)
-
-
-# -- constructive decomposition -------------------------------------------
+    Every derivation has that shape and every such map is one, so this is
+    the Leibniz rule on every pair of basis units.
+    """
+    _, sigma, off_diagonal = _split(d)
+    return next(off_diagonal, None) is None and is_cocycle(sigma)
 
 
 @dataclass
@@ -469,32 +348,151 @@ class Decomposition:
 
 
 def decompose(d: LinearEndo) -> Decomposition:
-    """Split d into an inner part and a diagonal part, reading both off d.
+    """Split d into [alpha, .] + D_sigma, both read off d.
 
-    The inner witness collects, for each comparable (x, y), the (x, y)
-    coefficient of the image of e_y.  The diagonal part is what remains on
-    the matrix diagonal after subtracting that commutator; the residual
-    counts every other surviving entry and vanishes iff d was a derivation
-    with this exact shape.
+    The residual counts the off-diagonal entries of d - [alpha, .]; it
+    vanishes iff d has exactly this shape.
     """
-    poset, ring = d.poset, d.ring
+    alpha, sigma, off_diagonal = _split(d)
+    return Decomposition(alpha, sigma, sum(1 for _ in off_diagonal))
+
+
+# -- the derivation space ------------------------------------------------
+
+
+def _require_field(ring: CoeffRing):
+    if not ring.is_field():
+        raise RingError(
+            f"nullspace computations need a field, not {ring.designator()}"
+        )
+
+
+def _commutator_rows(poset: Poset, ring: CoeffRing):
+    """The maps [e_xy, .] as sparse rows {c*N + r: value}, zero ones skipped.
+
+    [e_xy, e_uv] = [y = u] e_xv - [v = x] e_uy; the two terms meet only
+    at u = v = x = y, where they cancel.
+    """
+    n = poset.npairs
     pos = poset.pair_pos
-    zero_raw = ring.zero
-    alpha_entries = {}
-    for t, (x, y) in enumerate(poset.ipairs):
-        v = d.cols[pos(y, y)][t]
-        if v != zero_raw:
-            alpha_entries[(x, y)] = v
-    alpha = FiElement(poset, ring, alpha_entries)
-    reduced = d - inner(alpha)
-    sigma_values = {}
-    for t, pair in enumerate(poset.ipairs):
-        v = reduced.cols[t][t]
-        if v != zero_raw:
-            sigma_values[pair] = v
-    sigma = TransitiveMap(poset, ring, sigma_values)
-    residual = reduced - sigma_endo(sigma)
-    return Decomposition(alpha, sigma, residual.nonzero_count())
+    minus_one = ring.neg(ring.one)
+    above, below = {}, {}
+    for i, j in poset.ipairs:
+        above.setdefault(i, []).append(j)
+        below.setdefault(j, []).append(i)
+    for x, y in poset.ipairs:
+        row = {pos(y, v) * n + pos(x, v): ring.one for v in above[y]}
+        for u in below[x]:
+            var = pos(u, x) * n + pos(u, y)
+            if row.pop(var, None) is None:
+                row[var] = minus_one
+        if row:
+            yield row
+
+
+def _cocycle_basis(poset: Poset, ring: CoeffRing) -> list[list]:
+    """Canonical basis of the cocycles, as dense vectors over the pairs.
+
+    The rows sigma(i,k) + sigma(k,j) - sigma(i,j) with k = i or k = j say
+    sigma(i,i) = 0.  Of the others only those where k covers i are kept:
+    they imply the rest, by induction on the length of [i, k], so the
+    nullspace is the same and the elimination far smaller.
+    """
+    pos = poset.pair_pos
+    one, minus_one = ring.one, ring.neg(ring.one)
+    rows = [{pos(i, i): one} for i in range(len(poset))]
+    for i, j in poset.ipairs:
+        for k in poset.interval_idx(i, j):
+            if i != k != j and len(poset.interval_idx(i, k)) == 2:
+                rows.append({pos(i, k): one, pos(k, j): one, pos(i, j): minus_one})
+    return _linalg.nullspace(_linalg.rref(rows, ring), poset.npairs, ring)
+
+
+@lru_cache(maxsize=64)
+def _derivation_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
+    """Der in reduced echelon form with the largest variable c*N + r leading.
+
+    Der is spanned by the commutator maps and the D_sigma of a cocycle
+    basis.  Each reduced row has a one on its pivot, its largest variable,
+    and zeros on every other pivot, so the rows sorted by pivot are the
+    canonical nullspace-form basis of Der.  Keyed by pivot.
+    """
+    _require_field(ring)
+    n = poset.npairs
+    last = n * n - 1
+    diagonal_maps = (
+        {t * n + t: s for t, s in enumerate(sigma) if s != ring.zero}
+        for sigma in _cocycle_basis(poset, ring)
+    )
+    rows = chain(_commutator_rows(poset, ring), diagonal_maps)
+    flipped = _linalg.rref(
+        ({last - var: v for var, v in row.items()} for row in rows), ring
+    )
+    return {
+        last - lead: {last - var: v for var, v in row.items()}
+        for lead, row in flipped.items()
+    }
+
+
+@lru_cache(maxsize=64)
+def _inner_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
+    _require_field(ring)
+    return _linalg.rref(_commutator_rows(poset, ring), ring)
+
+
+def _row_to_endo(poset: Poset, ring: CoeffRing, row: dict) -> LinearEndo:
+    n = poset.npairs
+    cols = [[ring.zero] * n for _ in range(n)]
+    for var, v in row.items():
+        c, r = divmod(var, n)
+        cols[c][r] = v
+    return LinearEndo(poset, ring, cols)
+
+
+@lru_cache(maxsize=64)
+def _derivation_basis(poset: Poset, ring: CoeffRing):
+    rows = _derivation_rref(poset, ring)
+    return tuple(_row_to_endo(poset, ring, rows[lead]) for lead in sorted(rows))
+
+
+def derivation_basis(poset: Poset, ring: CoeffRing) -> list[LinearEndo]:
+    """Canonical basis of the space of derivations, by exact elimination."""
+    return list(_derivation_basis(poset, ring))
+
+
+def inner_basis(poset: Poset, ring: CoeffRing) -> list[LinearEndo]:
+    """Canonical basis of the span of commutator maps of basis units."""
+    rows = _inner_rref(poset, ring)
+    return [_row_to_endo(poset, ring, rows[lead]) for lead in sorted(rows)]
+
+
+def derivation_dimension(poset: Poset, ring: CoeffRing) -> int:
+    """dim Der, the pivot count of its elimination; builds no basis."""
+    return len(_derivation_rref(poset, ring))
+
+
+def inner_dimension(poset: Poset, ring: CoeffRing) -> int:
+    """dim Inner, the pivot count of the commutator rows; builds no basis."""
+    return len(_inner_rref(poset, ring))
+
+
+def h1_dimension(poset: Poset, ring: CoeffRing) -> int:
+    """dim(derivations) - dim(inner derivations); zero when all are inner."""
+    return derivation_dimension(poset, ring) - inner_dimension(poset, ring)
+
+
+def derivation_span_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
+    """The reduced rows of Der, for endo_in_span; shared, not to be changed."""
+    return _derivation_rref(poset, ring)
+
+
+def endo_in_span(d: LinearEndo, span_rref: dict[int, dict]) -> bool:
+    n = d.poset.npairs
+    vec = {c * n + r: v for c, col in enumerate(d.cols) for r, v in enumerate(col)}
+    return not _linalg.reduce_vector(vec, span_rref, d.ring)
+
+
+# -- idempotent identity --------------------------------------------------
 
 
 def idempotent_identity_check(d: LinearEndo, e: FiElement) -> bool:

@@ -25,16 +25,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from . import _linalg
 from .deriv import (
     LinearEndo,
     decompose,
     derivation_basis,
+    derivation_dimension,
     derivation_span_rref,
     endo_in_span,
     idempotent_identity_check,
-    is_cocycle,
     is_derivation,
 )
 from .fialg import FiElement, element, restrict, subset_idempotent, unit
@@ -43,6 +44,10 @@ from .scalars import GF, CoeffRing, RingError
 
 DEFAULT_PROBE_CAP = 1 << 20
 DEFAULT_ENDO_CAP = 1 << 24
+# A random campaign holds 2 * trials sample maps of npairs^2 scalars at once.
+CAMPAIGN_SCALAR_CAP = 1 << 20
+SPANNING_RANDOM_PROBES = 32
+SPANNING_SUBSET_LIMIT = 12
 
 VERDICT_LOCAL = "local_derivation"
 VERDICT_REJECTED = "rejected"
@@ -301,6 +306,15 @@ def _chain_probe(poset, ring, i, k, j) -> FiElement:
     return FiElement(poset, ring, entries)
 
 
+def _spanning_count(poset) -> int:
+    """The length of the default spanning family, before any cap."""
+    n = len(poset)
+    limit = min(n, SPANNING_SUBSET_LIMIT)
+    subsets = sum(comb(n, size) for size in range(limit + 1))
+    chains = sum(len(poset.interval_idx(i, j)) - 2 for i, j in poset.ipairs if i != j)
+    return poset.npairs + subsets + chains + SPANNING_RANDOM_PROBES
+
+
 def _spanning_probes(poset, ring, seed, random_probes, subset_limit, cap):
     """Deterministic probe list: units, subsets, chain elements, random."""
     probes = []
@@ -333,8 +347,8 @@ def _spanning_probes(poset, ring, seed, random_probes, subset_limit, cap):
 def check_local_spanning(
     d: LinearEndo,
     seed: int = 0,
-    random_probes: int = 32,
-    subset_limit: int = 12,
+    random_probes: int = SPANNING_RANDOM_PROBES,
+    subset_limit: int = SPANNING_SUBSET_LIMIT,
     probe_cap: int | None = None,
 ) -> LocalCheckReport:
     """Probe the structured families; verdicts are rejected or inconclusive.
@@ -533,7 +547,7 @@ def theorem_verify_enumerate(
             f"{total} endomorphisms exceed the cap of {cap};"
             " raise --endo-cap to allow"
         )
-    dim_der = len(derivation_basis(poset, ring))
+    dim_der = derivation_dimension(poset, ring)
     dim_loc = local_dimension(poset, ring)
     verdict = VERDICT_CONFIRMED if dim_loc == dim_der else VERDICT_REFUTED
     s_der, s_loc = prime**dim_der, prime**dim_loc
@@ -556,9 +570,7 @@ def _check_der_sample(poset, ring, cols, use_exhaustive, span_seed, cap):
     else:
         report = check_local_spanning(d, seed=span_seed, probe_cap=cap)
         ok_local = report.verdict == VERDICT_INCONCLUSIVE
-    dec = decompose(d)
-    ok_dec = dec.residual_norm == 0 and is_cocycle(dec.sigma)
-    return ok_local, ok_dec, report.probes_checked
+    return ok_local, is_derivation(d), report.probes_checked
 
 
 def _check_non_sample(poset, ring, cols, use_exhaustive, span_seed, cap):
@@ -582,14 +594,28 @@ def theorem_verify_random(
     Random derivations (combinations of the derivation basis) must pass
     the local checks and decompose exactly with a cocycle diagonal part;
     random non-derivations must be rejected.  Over a prime field within
-    the probe cap the local check is exhaustive, otherwise spanning.
+    the probe cap the local check is exhaustive, otherwise spanning; a
+    spanning family longer than the cap is refused, since a truncated
+    one can let a non-derivation through.
     """
     if not ring.is_field():
         raise RingError("theorem campaigns need a field")
     cap = DEFAULT_PROBE_CAP if probe_cap is None else probe_cap
     n = poset.npairs
-    basis = derivation_basis(poset, ring)
+    if trials * n * n > CAMPAIGN_SCALAR_CAP:
+        raise CapExceededError(
+            f"{trials} trials of {n}x{n} sample maps exceed the cap of"
+            f" {CAMPAIGN_SCALAR_CAP} scalars; lower --trials"
+        )
     use_exhaustive = ring.kind == "zp" and ring.p ** n <= cap
+    if not use_exhaustive:
+        family = _spanning_count(poset)
+        if family > cap:
+            raise CapExceededError(
+                f"{family} spanning probes exceed the cap of {cap};"
+                " raise --probe-cap to allow"
+            )
+    basis = derivation_basis(poset, ring)
     rng = random.Random(seed)
 
     der_samples = []

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,49 @@ def test_locder_verify_probe_cap_exit_2(capsys, chain2_file, z2_map_file):
     )
     assert code == 2
     assert "probe-cap" in capsys.readouterr().err
+
+
+def test_probe_cap_must_be_positive(capsys, chain2_file, z2_map_file):
+    for argv in (
+        ["locder", "verify", chain2_file, z2_map_file],
+        ["theorem", "random", chain2_file, "--ring", "zp:2"],
+    ):
+        assert run(argv + ["--probe-cap", "-1"]) == 2
+        assert "--probe-cap" in capsys.readouterr().err
+
+
+def test_theorem_random_refuses_truncated_spanning_family(capsys, chain2_file):
+    # With one probe the spanning check cannot reject the non-derivation
+    # samples, which a campaign would count as counterexamples.
+    code = run(
+        ["theorem", "random", chain2_file, "--ring", "zp:2",
+         "--probe-cap", "1", "--trials", "5"]
+    )
+    assert code == 2
+    assert "--probe-cap" in capsys.readouterr().err
+
+
+def test_theorem_random_refuses_huge_trials_at_once(capsys, chain2_file):
+    start = time.perf_counter()
+    code = run(
+        ["theorem", "random", chain2_file, "--ring", "zp:2",
+         "--trials", "100000000000"]
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_der_basis_refuses_a_large_basis(capsys, tmp_path):
+    labels = [f"c{i}" for i in range(24)]
+    text = "elements: " + " ".join(labels) + "\n"
+    text += "".join(f"{a} < {b}\n" for a, b in zip(labels, labels[1:]))
+    path = tmp_path / "chain24.poset"
+    path.write_text(text)
+    assert run(["der", "basis", str(path), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_locder_verify_wrong_poset_hash(capsys, chain2_file, good_map_file):

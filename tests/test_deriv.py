@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -33,9 +34,14 @@ from helpers import (
     DIAMOND,
     SINGLETON,
     all_units,
+    chain,
+    commutator_span_basis,
+    dense_decomposition,
+    leibniz_kernel_basis,
     leibniz_on_units,
     random_derivation,
     random_element,
+    small_posets,
 )
 
 
@@ -110,15 +116,79 @@ def test_basis_members_satisfy_leibniz_everywhere():
             assert b.apply(r * s) == b.apply(r) * s + r * b.apply(s)
 
 
+def _bumped(d, c, r, delta):
+    cols = [list(col) for col in d.cols]
+    cols[c][r] = d.ring.add(cols[c][r], delta)
+    return LinearEndo(d.poset, d.ring, cols)
+
+
 def test_is_derivation_agrees_with_convolve_leibniz():
     rng = random.Random(67)
-    for seed in range(10):
-        poset = random_poset(rng.randint(1, 4), 0.6, seed + 500)
-        ring = GF(3)
-        n = poset.npairs
-        cols = [[ring.sample(rng) for _ in range(n)] for _ in range(n)]
-        d = LinearEndo(poset, ring, cols)
-        assert is_derivation(d) == leibniz_on_units(d)
+    branches = set()
+    for ring in (GF(3), QQ, ZZ):
+        for seed in range(10):
+            poset = random_poset(rng.randint(1, 4), 0.6, seed + 500)
+            n = poset.npairs
+            cols = [[ring.sample(rng) for _ in range(n)] for _ in range(n)]
+            f = {x: ring.sample(rng) for x in poset.elements}
+            d = inner(random_element(poset, ring, rng)) + sigma_endo(
+                coboundary(poset, ring, f)
+            )
+            candidates = [LinearEndo(poset, ring, cols), d]
+            # One entry off anywhere, and one in the last column only, which
+            # the split reaches after every other column.
+            for c in (rng.randrange(n), n - 1):
+                candidates.append(_bumped(d, c, rng.randrange(n), ring.one))
+            for e in candidates:
+                assert is_derivation(e) == leibniz_on_units(e)
+                dec = decompose(e)
+                branches.add((dec.residual_norm == 0, is_cocycle(dec.sigma)))
+    # Zero residual with a sigma that is not additive on the 3-chain.
+    for ring in (QQ, ZZ):
+        sigma = transitive_map(CHAIN3, ring, {("x", "y"): 1, ("y", "z"): 1})
+        alpha = element(CHAIN3, ring, {("x", "y"): 2, ("x", "z"): -1})
+        e = inner(alpha) + sigma_endo(sigma)
+        dec = decompose(e)
+        assert dec.residual_norm == 0 and not is_cocycle(dec.sigma)
+        assert not is_derivation(e) and not leibniz_on_units(e)
+    assert branches == {(True, True), (False, True), (False, False), (True, False)}
+
+
+def _json_bytes(endos):
+    return json.dumps([d.to_json() for d in endos], sort_keys=True)
+
+
+def _check_against_oracles(poset, ring, rng):
+    basis = derivation_basis(poset, ring)
+    assert _json_bytes(basis) == _json_bytes(leibniz_kernel_basis(poset, ring))
+    assert _json_bytes(inner_basis(poset, ring)) == _json_bytes(
+        commutator_span_basis(poset, ring)
+    )
+    n = poset.npairs
+    samples = [
+        LinearEndo(poset, ring, [[ring.sample(rng) for _ in range(n)] for _ in range(n)]),
+        random_derivation(poset, ring, rng, basis),
+    ]
+    for d in samples:
+        dec = decompose(d)
+        assert (dec.alpha, dec.sigma, dec.residual_norm) == dense_decomposition(d)
+
+
+ORACLE_RINGS = (QQ, GF(2), GF(3), GF(101))
+
+
+def test_bases_match_oracles_on_every_poset_up_to_four_elements():
+    rng = random.Random(43)
+    for poset in small_posets(4):
+        for ring in ORACLE_RINGS:
+            _check_against_oracles(poset, ring, rng)
+
+
+def test_bases_match_oracles_on_chains_diamond_and_crown():
+    rng = random.Random(47)
+    for poset in [chain(k) for k in range(2, 7)] + [DIAMOND, CROWN]:
+        for ring in ORACLE_RINGS:
+            _check_against_oracles(poset, ring, rng)
 
 
 def test_derivations_kill_the_identity():

@@ -26,7 +26,7 @@ from fia.locder import (
     theorem_verify_random,
     witness_for,
 )
-from fia.poset import parse_poset
+from fia.poset import parse_poset, random_poset
 from fia.scalars import GF, QQ, ZZ, RingError
 
 from helpers import (
@@ -227,6 +227,23 @@ def test_spanning_probe_cap_truncates():
     report = check_local_spanning(d, probe_cap=5)
     assert report.probes_checked <= 5
     assert report.verdict == "inconclusive"
+
+
+def test_spanning_count_is_the_untruncated_family_length():
+    # Thirteen elements take the subset limit of twelve into account.
+    posets = [CHAIN3, DIAMOND, CROWN, random_poset(13, 0.2, 5)]
+    posets += [random_poset(6, 0.5, seed) for seed in range(6)]
+    for poset in posets:
+        family = locder._spanning_probes(poset, QQ, 0, 32, 12, 1 << 30)
+        assert locder._spanning_count(poset) == len(family)
+
+
+def test_random_campaign_refuses_a_truncated_spanning_family():
+    family = locder._spanning_count(CHAIN2)
+    with pytest.raises(CapExceededError, match="probe-cap"):
+        theorem_verify_random(CHAIN2, QQ, trials=3, probe_cap=family - 1)
+    report = theorem_verify_random(CHAIN2, QQ, trials=3, probe_cap=family)
+    assert report.verdict == "confirmed"
 
 
 # -- lemma conformance -------------------------------------------------------
