@@ -2,8 +2,8 @@
 
 Rows are sparse dicts mapping variable index to a nonzero raw value.
 add_row is the one elimination step: it grows an echelon basis by one
-row.  rref is add_row plus back substitution, and solve is rref on the
-augmented rows; nullspace and reduce_vector only read echelon rows.
+row.  rref is add_row plus back substitution; nullspace and
+reduce_vector only read echelon rows.
 Pivots always sit on the smallest variable present, so the reduced
 echelon form, the pivot set and the nullspace basis depend only on the
 row space and the variable order, never on the order rows arrive in.
@@ -104,28 +104,3 @@ def reduce_vector(vec: dict, pivot_rows: dict[int, dict], ring) -> dict:
                 row[c] = nv
     return row
 
-
-def solve(rows: list[list], rhs: list, ring):
-    """The canonical exact solution of A x = b, or None if inconsistent.
-
-    The rref of the augmented rows [A | b] carries b as one more
-    variable, the last; the system is inconsistent iff that variable is
-    a pivot.  Free variables are set to zero, so each pivot variable
-    takes its row's entry on the last variable.  The rref is unique for
-    the column order, hence so is the solution.
-    """
-    zero = ring.zero
-    ncols = len(rows[0]) if rows else 0
-    pivots = rref(
-        (
-            {c: v for c, v in enumerate([*row, b]) if v != zero}
-            for row, b in zip(rows, rhs)
-        ),
-        ring,
-    )
-    if ncols in pivots:
-        return None
-    solution = [zero] * ncols
-    for lead, row in pivots.items():
-        solution[lead] = row.get(ncols, zero)
-    return solution

@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = theorem_group.add_parser("enumerate")
     p.add_argument("poset")
     p.add_argument("--ring", default="zp:2")
-    p.add_argument("--endo-cap", type=int, default=None)
+    p.add_argument("--endo-cap", type=_positive_int, default=None)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_theorem_enumerate)
     p = theorem_group.add_parser("random")

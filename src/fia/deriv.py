@@ -481,17 +481,6 @@ def h1_dimension(poset: Poset, ring: CoeffRing) -> int:
     return derivation_dimension(poset, ring) - inner_dimension(poset, ring)
 
 
-def derivation_span_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
-    """The reduced rows of Der, for endo_in_span; shared, not to be changed."""
-    return _derivation_rref(poset, ring)
-
-
-def endo_in_span(d: LinearEndo, span_rref: dict[int, dict]) -> bool:
-    n = d.poset.npairs
-    vec = {c * n + r: v for c, col in enumerate(d.cols) for r, v in enumerate(col)}
-    return not _linalg.reduce_vector(vec, span_rref, d.ring)
-
-
 # -- idempotent identity --------------------------------------------------
 
 

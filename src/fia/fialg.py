@@ -256,11 +256,15 @@ def element_from_json(poset: Poset, obj) -> FiElement:
     if not isinstance(obj, dict) or "ring" not in obj or "entries" not in obj:
         raise AlgebraError("element JSON needs 'ring' and 'entries'")
     ring = parse_ring(obj["ring"])
+    if not isinstance(obj["entries"], list):
+        raise AlgebraError("element JSON 'entries' must be a list")
     entries = {}
     for item in obj["entries"]:
         if not isinstance(item, dict) or set(item) != {"from", "to", "value"}:
             raise AlgebraError(f"bad element entry {item!r}")
         x, y = item["from"], item["to"]
+        if not (isinstance(x, str) and isinstance(y, str)):
+            raise AlgebraError(f"element labels must be strings, got {x!r}, {y!r}")
         i, j = poset.index(x), poset.index(y)
         if not poset.leq_idx(i, j):
             raise AlgebraError(f"pair ({x!r}, {y!r}) is not comparable")

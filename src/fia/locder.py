@@ -2,17 +2,20 @@
 
 A linear map d is a local derivation when every element a has a
 derivation witness agreeing with d there, i.e. d(a) lies in the subspace
-W_a = {D(a) : D a derivation}; the test is exact elimination into an
-echelon basis of W_a.
-The condition is linear in d, so the local derivations form a subspace
-Loc containing the derivations Der.
+W_a = {D(a) : D a derivation}.  _images forms the D_k(a) for a basis D_k
+of Der; the witness test reduces d(a) against their echelon basis,
+witness_for reads a combination off the same elimination, and
+local_dimension takes their annihilators.  The condition is linear in d,
+so the local derivations form a subspace Loc containing the derivations
+Der.
 
-The exhaustive checker accepts a map in the derivation span at once (it
-is its own witness everywhere) and otherwise probes every element of
-the algebra over a prime field, up to the first witness-less probe.  The
-spanning checker probes the structured families (units, subset
-idempotents, the chain elements e_xy + e_yz - e_xz - e_y, seeded random
-elements) and never certifies.
+Both verify modes run one scan over a probe family: exhaustive probes
+every element of the algebra over a prime field, spanning probes the
+structured families (units, subset idempotents, the chain elements
+e_xy + e_yz - e_xz - e_y, seeded random elements) and never certifies.
+A family longer than the probe cap is refused; a derivation passes every
+probe without a scan, and any other map is scanned up to its first
+witness-less probe.
 
 The theorem harnesses compare Loc with Der, either by rank over a prime
 field (dim Loc against dim Der, which settles all p^(n^2) endomorphisms
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from . import _linalg
@@ -33,8 +36,6 @@ from .deriv import (
     decompose,
     derivation_basis,
     derivation_dimension,
-    derivation_span_rref,
-    endo_in_span,
     idempotent_identity_check,
     is_derivation,
 )
@@ -165,92 +166,115 @@ def _dense_vector(poset: Poset, a: FiElement):
     return vec
 
 
-def _matvec(ring, cols, vec, n):
-    out = [ring.zero] * n
-    for c in range(n):
-        v = vec[c]
-        if v:
-            col = cols[c]
-            for r in range(n):
-                w = col[r]
+def _images(ring, maps_cols, vec, n):
+    """The images of a dense probe a under each map, as sparse rows."""
+    support = [(c, v) for c, v in enumerate(vec) if v]
+    add, mul, zero = ring.add, ring.mul, ring.zero
+    for cols in maps_cols:
+        out = [zero] * n
+        for c, v in support:
+            for r, w in enumerate(cols[c]):
                 if w:
-                    out[r] = ring.add(out[r], ring.mul(v, w))
-    return out
+                    out[r] = add(out[r], mul(v, w))
+        yield {r: w for r, w in enumerate(out) if w}
 
 
-def _sparse(vec) -> dict:
-    return {r: v for r, v in enumerate(vec) if v}
+def _residual(ring, basis_cols, d_cols, vec, n, tagged=False) -> dict:
+    """d(a) reduced against an echelon basis of W_a = span{D_k(a)}.
 
-
-def _vec_has_witness(ring, basis_cols, d_cols, vec, n) -> bool:
-    """Whether d(a) lies in W_a = span{D(a)}, for a given as a dense vector."""
+    d(a) lies in W_a iff no variable below n is left.  When tagged, image
+    k carries one more variable n + k with coefficient one, so the tags
+    left over are minus the coefficients of a combination of the D_k(a)
+    equal to d(a).
+    """
+    images = _images(ring, [d_cols, *basis_cols], vec, n)
+    target = next(images)
     w_a: dict[int, dict] = {}
-    for cols in basis_cols:
-        _linalg.add_row(w_a, _sparse(_matvec(ring, cols, vec, n)), ring)
-    target = _sparse(_matvec(ring, d_cols, vec, n))
-    return not _linalg.reduce_vector(target, w_a, ring)
+    for k, img in enumerate(images):
+        if tagged:
+            img[n + k] = ring.one
+        _linalg.add_row(w_a, img, ring)
+    return _linalg.reduce_vector(target, w_a, ring)
 
 
 def witness_for(d: LinearEndo, a: FiElement, der_basis) -> Witness | None:
     """A derivation from the span of der_basis agreeing with d at a, if any."""
     ring = d.ring
     n = d.poset.npairs
-    vec = _dense_vector(d.poset, a)
-    images = [_matvec(ring, b.cols, vec, n) for b in der_basis]
-    rows = [[img[t] for img in images] for t in range(n)]
-    sol = _linalg.solve(rows, _matvec(ring, d.cols, vec, n), ring)
-    if sol is None:
+    basis_cols = [b.cols for b in der_basis]
+    rest = _residual(ring, basis_cols, d.cols, _dense_vector(d.poset, a), n, True)
+    if any(var < n for var in rest):
         return None
     witness = LinearEndo.zero(d.poset, ring)
-    for coeff, b in zip(sol, der_basis):
-        if coeff != ring.zero:
-            witness = witness + b.scale(coeff)
+    for k, b in enumerate(der_basis):
+        if n + k in rest:
+            witness = witness + b.scale(ring.neg(rest[n + k]))
     return Witness(a, witness)
 
 
-# -- exhaustive probing ----------------------------------------------------
+# -- the probe scan ----------------------------------------------------------
 
 
-def _decode_digits(index: int, base: int, count: int):
-    digits = []
-    for _ in range(count):
-        index, d = divmod(index, base)
-        digits.append(d)
-    return digits
+def _first_witnessless(d: LinearEndo, vectors):
+    """Index of the first dense probe vector with no witness, or None."""
+    ring, n = d.ring, d.poset.npairs
+    basis_cols = [b.cols for b in derivation_basis(d.poset, ring)]
+    for index, vec in enumerate(vectors):
+        if _residual(ring, basis_cols, d.cols, vec, n):
+            return index
+    return None
 
 
-def _increment(digits, base) -> None:
-    for t in range(len(digits)):
-        digits[t] += 1
-        if digits[t] == base:
+def _refuse_over_cap(total: int, cap: int, mode: str) -> None:
+    if total > cap:
+        raise CapExceededError(
+            f"{total} {mode} probes exceed the cap of {cap};"
+            " raise --probe-cap to allow"
+        )
+
+
+def _check_local(d, mode, total, cap, vectors, probe_at, seed=None):
+    """The probe scan behind both verify modes.
+
+    A family of more than cap probes is refused, never cut short.  A
+    derivation is its own witness at every probe, so it passes all total
+    of them without a scan; any other map is scanned up to its first
+    witness-less probe, which probe_at turns back into an element and
+    which probes_checked counts.  Passing every probe is local_derivation
+    in exhaustive mode and only inconclusive in spanning mode.
+    """
+    _refuse_over_cap(total, DEFAULT_PROBE_CAP if cap is None else cap, mode)
+    designator = d.ring.designator()
+    fail = None if is_derivation(d) else _first_witnessless(d, vectors)
+    if fail is None:
+        verdict = VERDICT_LOCAL if mode == "exhaustive" else VERDICT_INCONCLUSIVE
+        return LocalCheckReport(mode, verdict, total, designator, seed=seed)
+    return LocalCheckReport(
+        mode,
+        VERDICT_REJECTED,
+        fail + 1,
+        designator,
+        failing_probe=probe_at(fail),
+        seed=seed,
+    )
+
+
+def _digit_vectors(p: int, n: int):
+    """Every vector of n base-p digits, least significant digit first.
+
+    The i-th vector holds the digits of i, so the first is zero.  One
+    list is yielded, changed in place between steps.
+    """
+    digits = [0] * n
+    while True:
+        yield digits
+        for t in range(n):
+            digits[t] += 1
+            if digits[t] < p:
+                break
             digits[t] = 0
         else:
             return
-
-
-def _probe_element(poset: Poset, ring: CoeffRing, index: int) -> FiElement:
-    digits = _decode_digits(index, ring.p, poset.npairs)
-    entries = {
-        pair: digits[t] for t, pair in enumerate(poset.ipairs) if digits[t]
-    }
-    return FiElement(poset, ring, entries)
-
-
-def _first_witnessless(poset, ring, d_cols, basis_cols):
-    """Least probe index with no witness, or None.
-
-    Probe i is the element whose coefficient on the t-th canonical pair is
-    the t-th base-p digit of i, so probe 0 is zero and probing all
-    p**npairs indices covers the whole algebra.
-    """
-    n = poset.npairs
-    p = ring.p
-    digits = [0] * n
-    for e in range(p ** n):
-        if not _vec_has_witness(ring, basis_cols, d_cols, digits, n):
-            return e
-        _increment(digits, p)
-    return None
 
 
 def check_local_exhaustive(
@@ -259,35 +283,24 @@ def check_local_exhaustive(
 ) -> LocalCheckReport:
     """Probe every algebra element over a prime field.
 
-    The verdict is local_derivation iff every probe has a witness, and
-    then probes_checked is the number of algebra elements.  A map in the
-    derivation span is its own witness everywhere and needs no probing;
-    otherwise the canonically first witness-less probe is attached and
-    probes_checked counts up to and including it.
+    Probe i is the element whose coefficient on the t-th canonical pair
+    is the t-th base-p digit of i, so the p**npairs probes cover the
+    algebra.  The verdict is local_derivation iff every probe has a
+    witness; otherwise the first witness-less probe is attached.
     """
     ring = d.ring
     if ring.kind != "zp":
         raise RingError("exhaustive probing needs a zp ring")
-    cap = DEFAULT_PROBE_CAP if probe_cap is None else probe_cap
     poset = d.poset
-    total = ring.p ** poset.npairs
-    if total > cap:
-        raise CapExceededError(
-            f"{total} probes exceed the cap of {cap}; raise --probe-cap to allow"
-        )
-    designator = ring.designator()
-    if endo_in_span(d, derivation_span_rref(poset, ring)):
-        return LocalCheckReport("exhaustive", VERDICT_LOCAL, total, designator)
-    basis_cols = [b.cols for b in derivation_basis(poset, ring)]
-    fail = _first_witnessless(poset, ring, d.cols, basis_cols)
-    if fail is None:
-        return LocalCheckReport("exhaustive", VERDICT_LOCAL, total, designator)
-    return LocalCheckReport(
-        "exhaustive",
-        VERDICT_REJECTED,
-        fail + 1,
-        designator,
-        failing_probe=_probe_element(poset, ring, fail),
+    p, n = ring.p, poset.npairs
+
+    def probe_at(index):
+        digits = next(islice(_digit_vectors(p, n), index, None))
+        entries = {pair: v for pair, v in zip(poset.ipairs, digits) if v}
+        return FiElement(poset, ring, entries)
+
+    return _check_local(
+        d, "exhaustive", p**n, probe_cap, _digit_vectors(p, n), probe_at
     )
 
 
@@ -307,7 +320,7 @@ def _chain_probe(poset, ring, i, k, j) -> FiElement:
 
 
 def _spanning_count(poset) -> int:
-    """The length of the default spanning family, before any cap."""
+    """The length of the spanning family."""
     n = len(poset)
     limit = min(n, SPANNING_SUBSET_LIMIT)
     subsets = sum(comb(n, size) for size in range(limit + 1))
@@ -315,40 +328,32 @@ def _spanning_count(poset) -> int:
     return poset.npairs + subsets + chains + SPANNING_RANDOM_PROBES
 
 
-def _spanning_probes(poset, ring, seed, random_probes, subset_limit, cap):
-    """Deterministic probe list: units, subsets, chain elements, random."""
-    probes = []
+def _spanning_probes(poset, ring, seed):
+    """The spanning family in order: units, subsets, chain elements, random."""
     els = poset.elements
     for i, j in poset.ipairs:
-        probes.append(unit(poset, ring, els[i], els[j]))
+        yield unit(poset, ring, els[i], els[j])
     n = len(els)
-    for size in range(0, min(n, subset_limit) + 1):
+    for size in range(min(n, SPANNING_SUBSET_LIMIT) + 1):
         for combo in combinations(range(n), size):
-            probes.append(subset_idempotent(poset, ring, [els[i] for i in combo]))
-            if len(probes) >= cap:
-                return probes[:cap]
+            yield subset_idempotent(poset, ring, [els[i] for i in combo])
     for i, j in poset.ipairs:
-        if i == j:
-            continue
         for k in poset.interval_idx(i, j):
-            if k != i and k != j:
-                probes.append(_chain_probe(poset, ring, i, k, j))
+            if i != k != j:
+                yield _chain_probe(poset, ring, i, k, j)
     rng = random.Random(seed)
-    for _ in range(random_probes):
+    for _ in range(SPANNING_RANDOM_PROBES):
         entries = {}
         for pair in poset.ipairs:
             v = ring.sample(rng)
             if v != ring.zero:
                 entries[pair] = v
-        probes.append(FiElement(poset, ring, entries))
-    return probes[:cap]
+        yield FiElement(poset, ring, entries)
 
 
 def check_local_spanning(
     d: LinearEndo,
     seed: int = 0,
-    random_probes: int = SPANNING_RANDOM_PROBES,
-    subset_limit: int = SPANNING_SUBSET_LIMIT,
     probe_cap: int | None = None,
 ) -> LocalCheckReport:
     """Probe the structured families; verdicts are rejected or inconclusive.
@@ -359,25 +364,14 @@ def check_local_spanning(
     ring = d.ring
     if not ring.is_field():
         raise RingError("witness solving needs a field")
-    cap = DEFAULT_PROBE_CAP if probe_cap is None else probe_cap
     poset = d.poset
-    basis_cols = [b.cols for b in derivation_basis(poset, ring)]
-    n = poset.npairs
-    checked = 0
-    for probe in _spanning_probes(poset, ring, seed, random_probes, subset_limit, cap):
-        vec = _dense_vector(poset, probe)
-        checked += 1
-        if not _vec_has_witness(ring, basis_cols, d.cols, vec, n):
-            return LocalCheckReport(
-                "spanning",
-                VERDICT_REJECTED,
-                checked,
-                ring.designator(),
-                failing_probe=probe,
-                seed=seed,
-            )
-    return LocalCheckReport(
-        "spanning", VERDICT_INCONCLUSIVE, checked, ring.designator(), seed=seed
+    vectors = (_dense_vector(poset, a) for a in _spanning_probes(poset, ring, seed))
+
+    def probe_at(index):
+        return next(islice(_spanning_probes(poset, ring, seed), index, None))
+
+    return _check_local(
+        d, "spanning", _spanning_count(poset), probe_cap, vectors, probe_at, seed
     )
 
 
@@ -508,15 +502,12 @@ def local_dimension(poset: Poset, ring: CoeffRing) -> int:
     saturated = n * n - len(basis_cols)
     pivots: dict[int, dict] = {}
     rank = 0
-    digits = [0] * n
-    for _ in range(p ** n - 1):
+    for digits in _digit_vectors(p, n):
         if rank == saturated:
             break
-        _increment(digits, p)
-        if next(v for v in digits if v) != 1:
+        if next((v for v in digits if v), 0) != 1:
             continue
-        images = (_matvec(ring, cols, digits, n) for cols in basis_cols)
-        w_a = _linalg.rref((_sparse(img) for img in images), ring)
+        w_a = _linalg.rref(_images(ring, basis_cols, digits, n), ring)
         for y in _linalg.nullspace(w_a, n, ring):
             row = {
                 c * n + r: ring.mul(a, v)
@@ -562,24 +553,10 @@ def _random_endo_cols(poset, ring, rng):
     return [[ring.sample(rng) for _ in range(n)] for _ in range(n)]
 
 
-def _check_der_sample(poset, ring, cols, use_exhaustive, span_seed, cap):
-    d = LinearEndo(poset, ring, cols)
+def _check_sample(d, use_exhaustive, span_seed, cap) -> LocalCheckReport:
     if use_exhaustive:
-        report = check_local_exhaustive(d, probe_cap=cap)
-        ok_local = report.verdict == VERDICT_LOCAL
-    else:
-        report = check_local_spanning(d, seed=span_seed, probe_cap=cap)
-        ok_local = report.verdict == VERDICT_INCONCLUSIVE
-    return ok_local, is_derivation(d), report.probes_checked
-
-
-def _check_non_sample(poset, ring, cols, use_exhaustive, span_seed, cap):
-    d = LinearEndo(poset, ring, cols)
-    if use_exhaustive:
-        report = check_local_exhaustive(d, probe_cap=cap)
-    else:
-        report = check_local_spanning(d, seed=span_seed, probe_cap=cap)
-    return report.verdict == VERDICT_REJECTED, report.probes_checked
+        return check_local_exhaustive(d, probe_cap=cap)
+    return check_local_spanning(d, seed=span_seed, probe_cap=cap)
 
 
 def theorem_verify_random(
@@ -609,12 +586,7 @@ def theorem_verify_random(
         )
     use_exhaustive = ring.kind == "zp" and ring.p ** n <= cap
     if not use_exhaustive:
-        family = _spanning_count(poset)
-        if family > cap:
-            raise CapExceededError(
-                f"{family} spanning probes exceed the cap of {cap};"
-                " raise --probe-cap to allow"
-            )
+        _refuse_over_cap(_spanning_count(poset), cap, "spanning")
     basis = derivation_basis(poset, ring)
     rng = random.Random(seed)
 
@@ -625,45 +597,40 @@ def theorem_verify_random(
         for c, b in zip(coeffs, basis):
             if c != ring.zero:
                 d = d + b.scale(c)
-        der_samples.append(d.cols)
+        der_samples.append(d)
 
-    sample_non = len(basis) < n * n
     non_samples = []
-    if sample_non:
+    if len(basis) < n * n:
         for _ in range(trials):
             for _ in range(64):
-                cols = _random_endo_cols(poset, ring, rng)
-                if not is_derivation(LinearEndo(poset, ring, cols)):
-                    non_samples.append(cols)
+                d = LinearEndo(poset, ring, _random_endo_cols(poset, ring, rng))
+                if not is_derivation(d):
+                    non_samples.append(d)
                     break
             else:
                 raise RingError("could not sample a non-derivation")
     der_seeds = [rng.randrange(1 << 32) for _ in range(trials)]
     non_seeds = [rng.randrange(1 << 32) for _ in range(len(non_samples))]
 
-    der_results = [
-        _check_der_sample(poset, ring, cols, use_exhaustive, span_seed, cap)
-        for cols, span_seed in zip(der_samples, der_seeds)
+    der_reports = [
+        _check_sample(d, use_exhaustive, span_seed, cap)
+        for d, span_seed in zip(der_samples, der_seeds)
     ]
-    non_results = [
-        _check_non_sample(poset, ring, cols, use_exhaustive, span_seed, cap)
-        for cols, span_seed in zip(non_samples, non_seeds)
+    non_reports = [
+        _check_sample(d, use_exhaustive, span_seed, cap)
+        for d, span_seed in zip(non_samples, non_seeds)
     ]
-
-    probes = sum(r[-1] for r in der_results) + sum(r[-1] for r in non_results)
-    der_ok = all(ok_local and ok_dec for ok_local, ok_dec, _ in der_results)
-    non_ok = all(rejected for rejected, _ in non_results)
-    verdict = VERDICT_CONFIRMED if (der_ok and non_ok) else VERDICT_REFUTED
-    s_der = len(der_samples)
-    s_loc = sum(1 for ok_local, _, _ in der_results if ok_local) + sum(
-        0 if rejected else 1 for rejected, _ in non_results
-    )
+    der_local = [r.verdict != VERDICT_REJECTED for r in der_reports]
+    non_local = [r.verdict != VERDICT_REJECTED for r in non_reports]
+    der_ok = all(der_local) and all(map(is_derivation, der_samples))
+    verdict = VERDICT_CONFIRMED if der_ok and not any(non_local) else VERDICT_REFUTED
+    probes = sum(r.probes_checked for r in der_reports + non_reports)
     return TheoremReport(
         "random",
         verdict,
         ring.designator(),
-        s_der,
-        s_loc,
+        len(der_samples),
+        sum(der_local) + sum(non_local),
         probes,
         seed=seed,
         trials=trials,

@@ -162,7 +162,7 @@ class CoeffRing:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    # -- sampling and enumeration ------------------------------------
+    # -- sampling ----------------------------------------------------
 
     def sample(self, rng):
         """Draw a small raw value, deterministically from the given rng."""
@@ -177,12 +177,6 @@ class CoeffRing:
             v = self.sample(rng)
             if v != 0:
                 return v
-
-    def elements(self):
-        """All raw values, available for prime fields only."""
-        if self.kind != "zp":
-            raise RingError(f"cannot enumerate ring {self.designator()}")
-        return range(self.p)
 
     # -- Scalar and JSON boundaries ----------------------------------
 
@@ -252,6 +246,8 @@ def GF(p: int) -> CoeffRing:
 
 def parse_ring(designator: str) -> CoeffRing:
     """Parse a ring designator: "q", "z" or "zp:<p>"."""
+    if not isinstance(designator, str):
+        raise RingError(f"ring designator must be a string, got {designator!r}")
     if designator == "q":
         return QQ
     if designator == "z":

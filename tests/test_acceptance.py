@@ -5,9 +5,8 @@ elapsed time and enforcing the stated runtime budget.  Derived numbers
 are re-established here by independent oracles: brute-force Leibniz
 checks through convolve, full scans of enumerated derivation sets, and
 entry-level reconstructions of the algebra operations.  The final test
-repeats the report-producing runs with FIA_THREADS set to 1 and to 4
-and demands byte-identical JSON; the library reads no environment
-variable, so this is a rerun-determinism check.
+runs every report-producing criterion a second time and demands
+byte-identical JSON across the two runs.
 """
 
 import hashlib
@@ -514,8 +513,7 @@ CRITERIA = {
 }
 
 
-def _run(n, monkeypatch, capsys):
-    monkeypatch.setenv("FIA_THREADS", "1")
+def _run(n, capsys):
     start = time.perf_counter()
     report = CRITERIA[n]()
     elapsed = time.perf_counter() - start
@@ -530,49 +528,48 @@ def _run(n, monkeypatch, capsys):
     assert elapsed < BUDGETS[n], f"criterion {n} took {elapsed:.2f}s"
 
 
-def test_criterion_1_theorem_enumeration(monkeypatch, capsys):
-    _run(1, monkeypatch, capsys)
+def test_criterion_1_theorem_enumeration(capsys):
+    _run(1, capsys)
 
 
-def test_criterion_2_degenerate_enumeration(monkeypatch, capsys):
-    _run(2, monkeypatch, capsys)
+def test_criterion_2_degenerate_enumeration(capsys):
+    _run(2, capsys)
 
 
-def test_criterion_3_constructive_decomposition(monkeypatch, capsys):
-    _run(3, monkeypatch, capsys)
+def test_criterion_3_constructive_decomposition(capsys):
+    _run(3, capsys)
 
 
-def test_criterion_4_cocycle_iff_derivation(monkeypatch, capsys):
-    _run(4, monkeypatch, capsys)
+def test_criterion_4_cocycle_iff_derivation(capsys):
+    _run(4, capsys)
 
 
-def test_criterion_5_lemma_suite(monkeypatch, capsys):
-    _run(5, monkeypatch, capsys)
+def test_criterion_5_lemma_suite(capsys):
+    _run(5, capsys)
 
 
-def test_criterion_6_rejection_soundness(monkeypatch, capsys):
-    _run(6, monkeypatch, capsys)
+def test_criterion_6_rejection_soundness(capsys):
+    _run(6, capsys)
 
 
-def test_criterion_7_algebra_core(monkeypatch, capsys):
-    _run(7, monkeypatch, capsys)
+def test_criterion_7_algebra_core(capsys):
+    _run(7, capsys)
 
 
-def test_criterion_8_determinism(monkeypatch, capsys):
+def test_criterion_8_determinism(capsys):
     byte_views = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("FIA_THREADS", threads)
+    for rerun in (False, True):
         reports = {}
         for n, fn in CRITERIA.items():
-            if threads == "1" and n in _cache:
+            if not rerun and n in _cache:
                 reports[n] = _cache[n]
             else:
                 reports[n] = fn()
-        byte_views[threads] = _canonical(reports)
-    ok = byte_views["1"] == byte_views["4"]
+        byte_views[rerun] = _canonical(reports)
+    ok = byte_views[False] == byte_views[True]
     with capsys.disabled():
         print(
-            f"[acceptance] criterion 8 (determinism across FIA_THREADS 1 vs 4):"
+            f"[acceptance] criterion 8 (determinism across reruns):"
             f" {'PASS' if ok else 'FAIL'}"
         )
     assert ok

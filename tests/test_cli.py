@@ -191,20 +191,25 @@ def test_locder_verify_ring_conflict(capsys, chain3_file, good_map_file):
 
 
 def test_locder_verify_probe_cap_exit_2(capsys, chain2_file, z2_map_file):
-    code = run(
-        ["locder", "verify", chain2_file, z2_map_file, "--probe-cap", "4"]
-    )
-    assert code == 2
-    assert "probe-cap" in capsys.readouterr().err
+    # Both families on the 2-chain are longer than 4 (8 and 39 probes);
+    # neither is cut short.
+    for mode in ("exhaustive", "spanning"):
+        code = run(
+            ["locder", "verify", chain2_file, z2_map_file, "--mode", mode,
+             "--probe-cap", "4"]
+        )
+        assert code == 2
+        assert "--probe-cap" in capsys.readouterr().err
 
 
 def test_probe_cap_must_be_positive(capsys, chain2_file, z2_map_file):
-    for argv in (
-        ["locder", "verify", chain2_file, z2_map_file],
-        ["theorem", "random", chain2_file, "--ring", "zp:2"],
+    for argv, flag in (
+        (["locder", "verify", chain2_file, z2_map_file], "--probe-cap"),
+        (["theorem", "random", chain2_file, "--ring", "zp:2"], "--probe-cap"),
+        (["theorem", "enumerate", chain2_file], "--endo-cap"),
     ):
-        assert run(argv + ["--probe-cap", "-1"]) == 2
-        assert "--probe-cap" in capsys.readouterr().err
+        assert run(argv + [flag, "-1"]) == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_theorem_random_refuses_truncated_spanning_family(capsys, chain2_file):

@@ -274,6 +274,9 @@ def test_element_from_json_rejections():
     assert element_from_json(CHAIN3, ok).coeff("x", "y") == 1
     with pytest.raises(AlgebraError):
         element_from_json(CHAIN3, {"entries": []})
+    for entries in (5, None, "xy", {"x": 1}):
+        with pytest.raises(AlgebraError, match="entries"):
+            element_from_json(CHAIN3, {"ring": "q", "entries": entries})
     with pytest.raises(AlgebraError):
         element_from_json(
             CHAIN3,

@@ -13,11 +13,14 @@ from fia.deriv import (
     sigma_endo,
     transitive_map,
 )
-from fia.fialg import delta, element, unit
+from fia.fialg import delta, element, unit, zero
 from fia.locder import (
     CapExceededError,
     LocalCheckReport,
+    _dense_vector,
+    _digit_vectors,
     _first_witnessless,
+    _spanning_probes,
     check_local_exhaustive,
     check_local_spanning,
     lemma_conformance,
@@ -36,6 +39,7 @@ from helpers import (
     CROWN,
     DIAMOND,
     SINGLETON,
+    leibniz_on_units,
     random_derivation,
     random_element,
 )
@@ -102,6 +106,42 @@ def test_witness_none_at_chain_probe():
         assert witness_for(d, unit(CHAIN3, QQ, x, y), basis) is not None
 
 
+def test_witness_for_against_enumeration_over_gf3():
+    # Solver-free oracle: every coefficient vector c in GF(3)^dim is tried
+    # by hand, through LinearEndo.apply only.
+    ring = GF(3)
+    rng = random.Random(41)
+    outcomes = set()
+    for poset in (CHAIN2, CHAIN3, ANTICHAIN2):
+        basis = derivation_basis(poset, ring)
+        n = poset.npairs
+        for _ in range(30):
+            cols = [
+                [rng.randrange(3) if rng.random() < 0.3 else 0 for _ in range(n)]
+                for _ in range(n)
+            ]
+            d = LinearEndo(poset, ring, cols)
+            a = random_element(poset, ring, rng, fill=0.5)
+            target = d.apply(a)
+            images = [b.apply(a) for b in basis]
+            solvable = False
+            for c in itertools.product(range(3), repeat=len(basis)):
+                combo = zero(poset, ring)
+                for ck, img in zip(c, images):
+                    combo = combo + img.scale(ck)
+                if combo == target:
+                    solvable = True
+                    break
+            w = witness_for(d, a, basis)
+            assert (w is None) == (not solvable)
+            outcomes.add(solvable)
+            if w is not None:
+                assert w.element == a
+                assert leibniz_on_units(w.derivation)
+                assert w.derivation.apply(a) == target
+    assert outcomes == {True, False}
+
+
 # -- exhaustive probing ------------------------------------------------------
 
 
@@ -161,11 +201,10 @@ def test_exhaustive_derivation_report_matches_full_scan():
     cases += [(CHAIN2, GF(3)), (CHAIN3, GF(2))]
     for poset, ring in cases:
         basis = derivation_basis(poset, ring)
-        basis_cols = [b.cols for b in basis]
         total = ring.p ** poset.npairs
         for _ in range(3):
             d = random_derivation(poset, ring, rng, basis)
-            scan = _first_witnessless(poset, ring, d.cols, basis_cols)
+            scan = _first_witnessless(d, _digit_vectors(ring.p, poset.npairs))
             assert scan is None
             expected = LocalCheckReport(
                 "exhaustive", "local_derivation", total, ring.designator()
@@ -222,11 +261,43 @@ def test_spanning_deterministic_per_seed():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_spanning_probe_cap_truncates():
-    d = LinearEndo.zero(CHAIN3, QQ)
-    report = check_local_spanning(d, probe_cap=5)
-    assert report.probes_checked <= 5
+def test_spanning_probe_cap_refuses_a_longer_family():
+    # A cut-short family could pass a map a later probe rejects, so a cap
+    # below the family length is refused, for derivations and others.
+    family = locder._spanning_count(CHAIN3)
+    sigma = transitive_map(CHAIN3, QQ, NON_COCYCLE_CHAIN3)
+    for d in (LinearEndo.zero(CHAIN3, QQ), sigma_endo(sigma)):
+        with pytest.raises(CapExceededError, match="probe-cap"):
+            check_local_spanning(d, probe_cap=5)
+        with pytest.raises(CapExceededError, match="probe-cap"):
+            check_local_spanning(d, probe_cap=family - 1)
+    report = check_local_spanning(LinearEndo.zero(CHAIN3, QQ), probe_cap=family)
     assert report.verdict == "inconclusive"
+    assert report.probes_checked == family
+
+
+def test_spanning_derivation_report_matches_full_scan():
+    # A derivation is accepted without probing; the report must be the
+    # one a full scan of the spanning family would give.
+    rng = random.Random(31)
+    for poset in (*SMALL_POSETS, DIAMOND, CROWN):
+        for ring in (QQ, GF(5)):
+            basis = derivation_basis(poset, ring)
+            for _ in range(2):
+                d = random_derivation(poset, ring, rng, basis)
+                seed = rng.randrange(1 << 16)
+                family = list(_spanning_probes(poset, ring, seed))
+                vectors = (_dense_vector(poset, a) for a in family)
+                assert _first_witnessless(d, vectors) is None
+                expected = LocalCheckReport(
+                    "spanning",
+                    "inconclusive",
+                    len(family),
+                    ring.designator(),
+                    seed=seed,
+                )
+                got = check_local_spanning(d, seed=seed)
+                assert got.to_json() == expected.to_json()
 
 
 def test_spanning_count_is_the_untruncated_family_length():
@@ -234,7 +305,7 @@ def test_spanning_count_is_the_untruncated_family_length():
     posets = [CHAIN3, DIAMOND, CROWN, random_poset(13, 0.2, 5)]
     posets += [random_poset(6, 0.5, seed) for seed in range(6)]
     for poset in posets:
-        family = locder._spanning_probes(poset, QQ, 0, 32, 12, 1 << 30)
+        family = list(_spanning_probes(poset, QQ, 0))
         assert locder._spanning_count(poset) == len(family)
 
 
@@ -362,13 +433,13 @@ def scan_endomorphisms(poset, p):
     """
     ring = GF(p)
     n = poset.npairs
-    basis_cols = [b.cols for b in derivation_basis(poset, ring)]
     n_der = n_loc = 0
     agree = True
     for entries in itertools.product(range(p), repeat=n * n):
         cols = [list(entries[c * n:(c + 1) * n]) for c in range(n)]
-        der = is_derivation(LinearEndo(poset, ring, cols))
-        loc = _first_witnessless(poset, ring, cols, basis_cols) is None
+        d = LinearEndo(poset, ring, cols)
+        der = is_derivation(d)
+        loc = _first_witnessless(d, _digit_vectors(p, n)) is None
         n_der += der
         n_loc += loc
         agree = agree and der == loc

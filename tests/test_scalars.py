@@ -104,12 +104,6 @@ def test_canonical_rejects_foreign_values():
         GF(5).canonical(Scalar(QQ, 1))
 
 
-def test_elements_enumeration():
-    assert list(GF(3).elements()) == [0, 1, 2]
-    with pytest.raises(RingError):
-        QQ.elements()
-
-
 def test_field_axioms_on_samples():
     rng = random.Random(11)
     for ring in (QQ, GF(2), GF(5), GF(97)):
