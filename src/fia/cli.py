@@ -18,7 +18,7 @@ from .poset import PosetError, parse_poset
 from .scalars import RingError, parse_ring
 
 # der basis prints dim Der maps of npairs^2 scalars each; the 12-chain over
-# q (77 * 78^2 = 468,468 scalars) peaks near 200 MB.
+# q (77 * 78^2 = 468,468 scalars) peaks near 50 MB, the 13-chain near 65 MB.
 BASIS_SCALAR_CAP = 1 << 20
 
 
@@ -133,7 +133,7 @@ def _cmd_der_decompose(args):
     payload = dec.to_json()
     lines = [
         f"alpha entries: {len(dec.alpha.entries)}",
-        f"sigma entries: {len(dec.sigma.values)}",
+        f"sigma entries: {len(dec.sigma.entries)}",
         f"residual: {dec.residual_norm}",
     ]
     return payload, lines, 0
@@ -186,7 +186,7 @@ def _cmd_theorem_enumerate(args):
     ring = parse_ring(args.ring)
     if ring.kind != "zp":
         raise RingError("theorem enumerate needs a zp ring")
-    report = locder.theorem_verify_enumerate(poset, ring.p, endo_cap=args.endo_cap)
+    report = locder.theorem_verify_enumerate(poset, ring.p, probe_cap=args.probe_cap)
     payload = report.to_json()
     lines = [
         f"ring: {report.ring}",
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = theorem_group.add_parser("enumerate")
     p.add_argument("poset")
     p.add_argument("--ring", default="zp:2")
-    p.add_argument("--endo-cap", type=_positive_int, default=None)
+    p.add_argument("--probe-cap", type=_positive_int, default=None)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_theorem_enumerate)
     p = theorem_group.add_parser("random")

@@ -3,13 +3,16 @@
 A linear endomorphism is an N x N matrix over the coefficient ring, N the
 number of comparable pairs; column t is the image of the t-th basis unit.
 Der is described one way: every derivation splits as an inner part
-[alpha, .] plus the diagonal map D_sigma of an additive-on-intervals
-function sigma of pairs, and every such sum is a derivation.  _split reads
-alpha and sigma off a map and lists what the split leaves over; is_derivation
-and decompose read their answers off it.  The derivation space is the
-exact span of the commutator maps [e_xy, .] and of D_sigma over a cocycle
-basis, reduced once; its basis, its dimension and h1 = dim Der - dim Inner
-come from that elimination.
+[alpha, .] plus the diagonal map D_sigma of a function sigma on the pairs
+that is additive along chains (a cocycle), and every such sum is a
+derivation.  Both alpha and sigma are functions on the pairs, so both are
+algebra elements (FiElement).  _split reads them off a map and lists what
+the split leaves over; is_derivation and decompose read their answers off
+it.  The cocycle condition is one row set, _cocycle_rows, which
+is_cocycle evaluates and _cocycle_basis eliminates.  The derivation space
+is the exact span of the commutator maps [e_xy, .] and of D_sigma over a
+cocycle basis, reduced once and cached as sparse rows; its basis, its
+dimension and h1 = dim Der - dim Inner come from that elimination.
 """
 
 from __future__ import annotations
@@ -141,10 +144,13 @@ class LinearEndo:
 
     def to_json(self) -> dict:
         to_j = self.ring.scalar_to_json
+        zero_json = to_j(self.ring.zero)  # shared: basis maps are mostly zeros
         return {
             "ring": self.ring.designator(),
             "poset_hash": self.poset.digest(),
-            "columns": [[to_j(v) for v in col] for col in self.cols],
+            "columns": [
+                [to_j(v) if v else zero_json for v in col] for col in self.cols
+            ],
         }
 
 
@@ -179,62 +185,8 @@ def inner(a: FiElement) -> LinearEndo:
     return LinearEndo.from_images(poset, ring, images)
 
 
-class TransitiveMap:
-    """A ring-valued function on comparable pairs; zeros stored implicitly."""
-
-    __slots__ = ("poset", "ring", "values")
-
-    def __init__(self, poset: Poset, ring: CoeffRing, values: dict):
-        self.poset = poset
-        self.ring = ring
-        self.values = values
-
-    def value(self, x: str, y: str) -> Scalar:
-        i, j = self.poset.index(x), self.poset.index(y)
-        self.poset.pair_pos(i, j)
-        return Scalar(self.ring, self.values.get((i, j), self.ring.zero))
-
-    def support(self) -> list[tuple[str, str, Scalar]]:
-        pos = self.poset.pair_pos
-        els = self.poset.elements
-        out = []
-        for (i, j) in sorted(self.values, key=lambda p: pos(*p)):
-            out.append((els[i], els[j], Scalar(self.ring, self.values[(i, j)])))
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, TransitiveMap):
-            return NotImplemented
-        return (
-            self.poset == other.poset
-            and self.ring == other.ring
-            and self.values == other.values
-        )
-
-    def __repr__(self):
-        return f"TransitiveMap({self.ring.designator()}, {len(self.values)} nonzero)"
-
-    def to_json_entries(self) -> list:
-        return [
-            {"from": x, "to": y, "value": s.to_json()}
-            for x, y, s in self.support()
-        ]
-
-
-def transitive_map(poset: Poset, ring: CoeffRing, data=None) -> TransitiveMap:
-    values = {}
-    if data:
-        for (x, y), value in data.items():
-            i, j = poset.index(x), poset.index(y)
-            poset.pair_pos(i, j)
-            raw = ring.canonical(value)
-            if raw != ring.zero:
-                values[(i, j)] = raw
-    return TransitiveMap(poset, ring, values)
-
-
-def coboundary(poset: Poset, ring: CoeffRing, point_values) -> TransitiveMap:
-    """The map (x, y) -> f(y) - f(x) induced by a function on elements."""
+def coboundary(poset: Poset, ring: CoeffRing, point_values) -> FiElement:
+    """The function (x, y) -> f(y) - f(x) induced by a function on elements."""
     raw = {x: ring.canonical(v) for x, v in point_values.items()}
     values = {}
     for i, j in poset.ipairs:
@@ -243,30 +195,50 @@ def coboundary(poset: Poset, ring: CoeffRing, point_values) -> TransitiveMap:
         v = ring.sub(fy, fx)
         if v != ring.zero:
             values[(i, j)] = v
-    return TransitiveMap(poset, ring, values)
+    return FiElement(poset, ring, values)
 
 
-def is_cocycle(sigma: TransitiveMap) -> bool:
-    """Additivity across every factorization x <= y <= z of a comparable pair."""
-    poset, ring = sigma.poset, sigma.ring
-    vals = sigma.values
-    zero_raw = ring.zero
+def _cocycle_rows(poset: Poset, ring: CoeffRing):
+    """The cocycle condition as sparse rows {pair position: value}.
+
+    A cocycle is additive across every factorization: sigma(i, k) +
+    sigma(k, j) = sigma(i, j) for i <= k <= j.  With k = i or k = j that
+    says sigma(i, i) = 0.  Of the others only those where k covers i are
+    yielded: they imply the rest, by induction on the length of [i, k].
+    """
+    pos = poset.pair_pos
+    one, minus_one = ring.one, ring.neg(ring.one)
+    for i in range(len(poset)):
+        yield {pos(i, i): one}
     for i, j in poset.ipairs:
-        target = vals.get((i, j), zero_raw)
         for k in poset.interval_idx(i, j):
-            left = vals.get((i, k), zero_raw)
-            right = vals.get((k, j), zero_raw)
-            if ring.add(left, right) != target:
-                return False
+            if i != k != j and len(poset.interval_idx(i, k)) == 2:
+                yield {pos(i, k): one, pos(k, j): one, pos(i, j): minus_one}
+
+
+def is_cocycle(sigma: FiElement) -> bool:
+    """Whether sigma, a function on the pairs, is additive along chains."""
+    poset, ring = sigma.poset, sigma.ring
+    ipairs = poset.ipairs
+    values = sigma.entries
+    zero_raw = ring.zero
+    for row in _cocycle_rows(poset, ring):
+        acc = zero_raw
+        for var, c in row.items():
+            v = values.get(ipairs[var])
+            if v is not None:
+                acc = ring.add(acc, ring.mul(c, v))
+        if acc != zero_raw:
+            return False
     return True
 
 
-def sigma_endo(sigma: TransitiveMap) -> LinearEndo:
+def sigma_endo(sigma: FiElement) -> LinearEndo:
     """The diagonal map e_xy -> sigma(x, y) e_xy."""
     poset, ring = sigma.poset, sigma.ring
     d = LinearEndo.zero(poset, ring)
     for t, pair in enumerate(poset.ipairs):
-        v = sigma.values.get(pair)
+        v = sigma.entries.get(pair)
         if v is not None:
             d.cols[t][t] = v
     return d
@@ -316,7 +288,7 @@ def _split(d: LinearEndo):
 
     return (
         FiElement(poset, ring, alpha),
-        TransitiveMap(poset, ring, sigma),
+        FiElement(poset, ring, sigma),
         off_diagonal(),
     )
 
@@ -336,13 +308,13 @@ class Decomposition:
     """d = (commutator with alpha) + (diagonal map of sigma), up to residual."""
 
     alpha: FiElement
-    sigma: TransitiveMap
+    sigma: FiElement
     residual_norm: int
 
     def to_json(self) -> dict:
         return {
             "alpha": self.alpha.to_json(),
-            "sigma": self.sigma.to_json_entries(),
+            "sigma": self.sigma.to_json()["entries"],
             "residual": self.residual_norm,
         }
 
@@ -391,21 +363,9 @@ def _commutator_rows(poset: Poset, ring: CoeffRing):
 
 
 def _cocycle_basis(poset: Poset, ring: CoeffRing) -> list[list]:
-    """Canonical basis of the cocycles, as dense vectors over the pairs.
-
-    The rows sigma(i,k) + sigma(k,j) - sigma(i,j) with k = i or k = j say
-    sigma(i,i) = 0.  Of the others only those where k covers i are kept:
-    they imply the rest, by induction on the length of [i, k], so the
-    nullspace is the same and the elimination far smaller.
-    """
-    pos = poset.pair_pos
-    one, minus_one = ring.one, ring.neg(ring.one)
-    rows = [{pos(i, i): one} for i in range(len(poset))]
-    for i, j in poset.ipairs:
-        for k in poset.interval_idx(i, j):
-            if i != k != j and len(poset.interval_idx(i, k)) == 2:
-                rows.append({pos(i, k): one, pos(k, j): one, pos(i, j): minus_one})
-    return _linalg.nullspace(_linalg.rref(rows, ring), poset.npairs, ring)
+    """Canonical basis of the cocycles, as dense vectors over the pairs."""
+    pivots = _linalg.rref(_cocycle_rows(poset, ring), ring)
+    return _linalg.nullspace(pivots, poset.npairs, ring)
 
 
 @lru_cache(maxsize=64)
@@ -440,30 +400,27 @@ def _inner_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
     return _linalg.rref(_commutator_rows(poset, ring), ring)
 
 
-def _row_to_endo(poset: Poset, ring: CoeffRing, row: dict) -> LinearEndo:
+def _dense_basis(poset: Poset, ring: CoeffRing, rows: dict[int, dict]):
+    """Reduced rows {pivot: {c*N + r: value}} as maps, in pivot order."""
     n = poset.npairs
-    cols = [[ring.zero] * n for _ in range(n)]
-    for var, v in row.items():
-        c, r = divmod(var, n)
-        cols[c][r] = v
-    return LinearEndo(poset, ring, cols)
-
-
-@lru_cache(maxsize=64)
-def _derivation_basis(poset: Poset, ring: CoeffRing):
-    rows = _derivation_rref(poset, ring)
-    return tuple(_row_to_endo(poset, ring, rows[lead]) for lead in sorted(rows))
+    basis = []
+    for lead in sorted(rows):
+        cols = [[ring.zero] * n for _ in range(n)]
+        for var, v in rows[lead].items():
+            c, r = divmod(var, n)
+            cols[c][r] = v
+        basis.append(LinearEndo(poset, ring, cols))
+    return basis
 
 
 def derivation_basis(poset: Poset, ring: CoeffRing) -> list[LinearEndo]:
     """Canonical basis of the space of derivations, by exact elimination."""
-    return list(_derivation_basis(poset, ring))
+    return _dense_basis(poset, ring, _derivation_rref(poset, ring))
 
 
 def inner_basis(poset: Poset, ring: CoeffRing) -> list[LinearEndo]:
     """Canonical basis of the span of commutator maps of basis units."""
-    rows = _inner_rref(poset, ring)
-    return [_row_to_endo(poset, ring, rows[lead]) for lead in sorted(rows)]
+    return _dense_basis(poset, ring, _inner_rref(poset, ring))
 
 
 def derivation_dimension(poset: Poset, ring: CoeffRing) -> int:

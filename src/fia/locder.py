@@ -44,11 +44,12 @@ from .poset import Poset
 from .scalars import GF, CoeffRing, RingError
 
 DEFAULT_PROBE_CAP = 1 << 20
-DEFAULT_ENDO_CAP = 1 << 24
 # A random campaign holds 2 * trials sample maps of npairs^2 scalars at once.
 CAMPAIGN_SCALAR_CAP = 1 << 20
 SPANNING_RANDOM_PROBES = 32
 SPANNING_SUBSET_LIMIT = 12
+# Random elements and subset masks that lemma_conformance draws.
+LEMMA_SAMPLES = 3
 
 VERDICT_LOCAL = "local_derivation"
 VERDICT_REJECTED = "rejected"
@@ -233,19 +234,36 @@ def _refuse_over_cap(total: int, cap: int, mode: str) -> None:
         )
 
 
-def _check_local(d, mode, total, cap, vectors, probe_at, seed=None):
-    """The probe scan behind both verify modes.
+def _check_local(d, derivation, mode, cap, seed=None):
+    """The probe scan behind both verify modes; derivation is is_derivation(d).
 
     A family of more than cap probes is refused, never cut short.  A
-    derivation is its own witness at every probe, so it passes all total
-    of them without a scan; any other map is scanned up to its first
-    witness-less probe, which probe_at turns back into an element and
-    which probes_checked counts.  Passing every probe is local_derivation
-    in exhaustive mode and only inconclusive in spanning mode.
+    derivation is its own witness at every probe, so it passes all of
+    them without a scan; any other map is scanned up to its first
+    witness-less probe, which is attached and which probes_checked counts.
+    Passing every probe is local_derivation in exhaustive mode and only
+    inconclusive in spanning mode.
     """
+    poset, ring = d.poset, d.ring
+    if mode == "exhaustive":
+        p, n = ring.p, poset.npairs
+        total, vectors = p**n, _digit_vectors(p, n)
+
+        def probe_at(index):
+            digits = next(islice(_digit_vectors(p, n), index, None))
+            entries = {pair: v for pair, v in zip(poset.ipairs, digits) if v}
+            return FiElement(poset, ring, entries)
+
+    else:
+        total = _spanning_count(poset)
+        vectors = (_dense_vector(poset, a) for a in _spanning_probes(poset, ring, seed))
+
+        def probe_at(index):
+            return next(islice(_spanning_probes(poset, ring, seed), index, None))
+
     _refuse_over_cap(total, DEFAULT_PROBE_CAP if cap is None else cap, mode)
-    designator = d.ring.designator()
-    fail = None if is_derivation(d) else _first_witnessless(d, vectors)
+    designator = ring.designator()
+    fail = None if derivation else _first_witnessless(d, vectors)
     if fail is None:
         verdict = VERDICT_LOCAL if mode == "exhaustive" else VERDICT_INCONCLUSIVE
         return LocalCheckReport(mode, verdict, total, designator, seed=seed)
@@ -288,35 +306,20 @@ def check_local_exhaustive(
     algebra.  The verdict is local_derivation iff every probe has a
     witness; otherwise the first witness-less probe is attached.
     """
-    ring = d.ring
-    if ring.kind != "zp":
+    if d.ring.kind != "zp":
         raise RingError("exhaustive probing needs a zp ring")
-    poset = d.poset
-    p, n = ring.p, poset.npairs
-
-    def probe_at(index):
-        digits = next(islice(_digit_vectors(p, n), index, None))
-        entries = {pair: v for pair, v in zip(poset.ipairs, digits) if v}
-        return FiElement(poset, ring, entries)
-
-    return _check_local(
-        d, "exhaustive", p**n, probe_cap, _digit_vectors(p, n), probe_at
-    )
+    return _check_local(d, is_derivation(d), "exhaustive", probe_cap)
 
 
 # -- spanning probes -------------------------------------------------------
 
 
 def _chain_probe(poset, ring, i, k, j) -> FiElement:
-    one = ring.one
-    entries = {(i, k): one, (k, j): one}
-    for pair, delta_v in (((i, j), ring.neg(one)), ((k, k), ring.neg(one))):
-        v = ring.add(entries.get(pair, ring.zero), delta_v)
-        if v != ring.zero:
-            entries[pair] = v
-        else:
-            entries.pop(pair, None)
-    return FiElement(poset, ring, entries)
+    """e_ik + e_kj - e_ij - e_kk; the four pairs differ, as i < k < j."""
+    one, minus_one = ring.one, ring.neg(ring.one)
+    return FiElement(
+        poset, ring, {(i, k): one, (k, j): one, (i, j): minus_one, (k, k): minus_one}
+    )
 
 
 def _spanning_count(poset) -> int:
@@ -361,24 +364,15 @@ def check_local_spanning(
     Passing every probe proves nothing, so the positive verdict is only
     inconclusive; a witness-less probe still rejects soundly.
     """
-    ring = d.ring
-    if not ring.is_field():
+    if not d.ring.is_field():
         raise RingError("witness solving needs a field")
-    poset = d.poset
-    vectors = (_dense_vector(poset, a) for a in _spanning_probes(poset, ring, seed))
-
-    def probe_at(index):
-        return next(islice(_spanning_probes(poset, ring, seed), index, None))
-
-    return _check_local(
-        d, "spanning", _spanning_count(poset), probe_cap, vectors, probe_at, seed
-    )
+    return _check_local(d, is_derivation(d), "spanning", probe_cap, seed)
 
 
 # -- lemma conformance -----------------------------------------------------
 
 
-def lemma_conformance(d: LinearEndo, seed: int = 0, samples: int = 3) -> LemmaReport:
+def lemma_conformance(d: LinearEndo, seed: int = 0) -> LemmaReport:
     """Check the structural facts every derivation satisfies, one by one.
 
     Probes restriction invariance of corner coefficients, the three-case
@@ -394,7 +388,7 @@ def lemma_conformance(d: LinearEndo, seed: int = 0, samples: int = 3) -> LemmaRe
     rng = random.Random(seed)
 
     ok_restriction = True
-    for _ in range(samples):
+    for _ in range(LEMMA_SAMPLES):
         a = element(
             poset,
             ring,
@@ -413,7 +407,7 @@ def lemma_conformance(d: LinearEndo, seed: int = 0, samples: int = 3) -> LemmaRe
         if not ok_restriction:
             break
 
-    masks = [rng.getrandbits(n) if n else 0 for _ in range(samples)]
+    masks = [rng.getrandbits(n) if n else 0 for _ in range(LEMMA_SAMPLES)]
     ok_subset = True
     for mask in masks:
         labels = [els[i] for i in range(n) if mask >> i & 1]
@@ -474,7 +468,7 @@ def lemma_conformance(d: LinearEndo, seed: int = 0, samples: int = 3) -> LemmaRe
     return LemmaReport(
         ring=ring.designator(),
         seed=seed,
-        samples=samples,
+        samples=LEMMA_SAMPLES,
         restriction=ok_restriction,
         subset_rule=ok_subset,
         diagonal_sign=ok_sign,
@@ -521,23 +515,21 @@ def local_dimension(poset: Poset, ring: CoeffRing) -> int:
 def theorem_verify_enumerate(
     poset: Poset,
     prime: int,
-    endo_cap: int | None = None,
+    probe_cap: int | None = None,
 ) -> TheoremReport:
     """Compare the derivations with the local derivations among all
     linear endomorphisms over GF(prime).
 
     Both are subspaces, so they hold p^dim Der and p^dim Loc maps and
     coincide iff the dimensions agree; probes_checked counts the maps.
+    local_dimension walks at most the p^npairs exhaustive probes, so
+    that is what the probe cap bounds.
     """
     ring = GF(prime)
-    cap = DEFAULT_ENDO_CAP if endo_cap is None else endo_cap
     n = poset.npairs
+    cap = DEFAULT_PROBE_CAP if probe_cap is None else probe_cap
+    _refuse_over_cap(prime**n, cap, "exhaustive")
     total = prime ** (n * n)
-    if total > cap:
-        raise CapExceededError(
-            f"{total} endomorphisms exceed the cap of {cap};"
-            " raise --endo-cap to allow"
-        )
     dim_der = derivation_dimension(poset, ring)
     dim_loc = local_dimension(poset, ring)
     verdict = VERDICT_CONFIRMED if dim_loc == dim_der else VERDICT_REFUTED
@@ -551,12 +543,6 @@ def theorem_verify_enumerate(
 def _random_endo_cols(poset, ring, rng):
     n = poset.npairs
     return [[ring.sample(rng) for _ in range(n)] for _ in range(n)]
-
-
-def _check_sample(d, use_exhaustive, span_seed, cap) -> LocalCheckReport:
-    if use_exhaustive:
-        return check_local_exhaustive(d, probe_cap=cap)
-    return check_local_spanning(d, seed=span_seed, probe_cap=cap)
 
 
 def theorem_verify_random(
@@ -584,9 +570,9 @@ def theorem_verify_random(
             f"{trials} trials of {n}x{n} sample maps exceed the cap of"
             f" {CAMPAIGN_SCALAR_CAP} scalars; lower --trials"
         )
-    use_exhaustive = ring.kind == "zp" and ring.p ** n <= cap
-    if not use_exhaustive:
-        _refuse_over_cap(_spanning_count(poset), cap, "spanning")
+    mode = "exhaustive" if ring.kind == "zp" and ring.p**n <= cap else "spanning"
+    if mode == "spanning":
+        _refuse_over_cap(_spanning_count(poset), cap, mode)
     basis = derivation_basis(poset, ring)
     rng = random.Random(seed)
 
@@ -612,17 +598,19 @@ def theorem_verify_random(
     der_seeds = [rng.randrange(1 << 32) for _ in range(trials)]
     non_seeds = [rng.randrange(1 << 32) for _ in range(len(non_samples))]
 
+    # Non-derivations met is_derivation while being sampled.
+    der_flags = [is_derivation(d) for d in der_samples]
     der_reports = [
-        _check_sample(d, use_exhaustive, span_seed, cap)
-        for d, span_seed in zip(der_samples, der_seeds)
+        _check_local(d, flag, mode, cap, span_seed)
+        for d, flag, span_seed in zip(der_samples, der_flags, der_seeds)
     ]
     non_reports = [
-        _check_sample(d, use_exhaustive, span_seed, cap)
+        _check_local(d, False, mode, cap, span_seed)
         for d, span_seed in zip(non_samples, non_seeds)
     ]
     der_local = [r.verdict != VERDICT_REJECTED for r in der_reports]
     non_local = [r.verdict != VERDICT_REJECTED for r in non_reports]
-    der_ok = all(der_local) and all(map(is_derivation, der_samples))
+    der_ok = all(der_local) and all(der_flags)
     verdict = VERDICT_CONFIRMED if der_ok and not any(non_local) else VERDICT_REFUTED
     probes = sum(r.probes_checked for r in der_reports + non_reports)
     return TheoremReport(

@@ -253,10 +253,16 @@ def parse_ring(designator: str) -> CoeffRing:
     if designator == "z":
         return ZZ
     if designator.startswith("zp:"):
+        # Only the designator GF(p) prints: ASCII digits with no sign,
+        # space, underscore or leading zero, all of which int() allows.
+        digits = designator[3:]
+        canonical = digits.isascii() and digits.isdigit() and digits[0] != "0"
         try:
-            p = int(designator[3:])
-        except ValueError:
-            raise RingError(f"bad modulus in designator {designator!r}") from None
+            p = int(digits) if canonical else None
+        except ValueError:  # more digits than int() will convert
+            p = None
+        if p is None:
+            raise RingError(f"bad modulus in designator {designator!r}")
         return GF(p)
     raise RingError(f"unknown ring designator {designator!r}")
 

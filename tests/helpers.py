@@ -10,7 +10,7 @@ elimination of fia._linalg with the library's split-based route.
 import itertools
 
 from fia import _linalg
-from fia.deriv import LinearEndo, TransitiveMap, inner, sigma_endo
+from fia.deriv import LinearEndo, inner, sigma_endo
 from fia.fialg import FiElement, convolve, unit
 from fia.poset import Poset, parse_poset
 
@@ -149,7 +149,21 @@ def dense_decomposition(d):
     for t, pair in enumerate(poset.ipairs):
         if reduced.cols[t][t] != ring.zero:
             sigma[pair] = reduced.cols[t][t]
-    sigma = TransitiveMap(poset, ring, sigma)
+    sigma = FiElement(poset, ring, sigma)
     residual = reduced - sigma_endo(sigma)
     nonzero = sum(1 for col in residual.cols for v in col if v != ring.zero)
     return alpha, sigma, nonzero
+
+
+def cocycle_by_definition(sigma):
+    """Additivity of sigma across every factorization i <= k <= j of a pair."""
+    poset, ring = sigma.poset, sigma.ring
+    values = sigma.entries
+    for i, j in poset.ipairs:
+        target = values.get((i, j), ring.zero)
+        for k in poset.interval_idx(i, j):
+            left = values.get((i, k), ring.zero)
+            right = values.get((k, j), ring.zero)
+            if ring.add(left, right) != target:
+                return False
+    return True

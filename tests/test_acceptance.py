@@ -23,12 +23,12 @@ from fia.deriv import (
     is_cocycle,
     is_derivation,
     sigma_endo,
-    transitive_map,
 )
 from fia.fialg import (
     FiElement,
     convolve,
     delta,
+    element,
     moebius,
     restrict,
     subset_idempotent,
@@ -289,7 +289,7 @@ def criterion_4():
     for poset in posets:
         pairs = poset.pairs()
         for bits in itertools.product(range(2), repeat=len(pairs)):
-            sigma = transitive_map(
+            sigma = element(
                 poset, ring, {pair: v for pair, v in zip(pairs, bits)}
             )
             maps_checked += 1

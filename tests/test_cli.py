@@ -9,7 +9,7 @@ import pytest
 
 import fia
 from fia.cli import run
-from fia.deriv import derivation_basis, inner, sigma_endo, transitive_map
+from fia.deriv import derivation_basis, inner, sigma_endo
 from fia.fialg import element, element_from_json
 from fia.poset import parse_poset
 
@@ -51,7 +51,7 @@ def good_map_file(tmp_path):
 def bad_map_file(tmp_path):
     from fia.scalars import QQ
 
-    sigma = transitive_map(
+    sigma = element(
         CHAIN3, QQ, {("x", "y"): 1, ("y", "z"): 1, ("x", "z"): 0}
     )
     return write_json(tmp_path, "bad.json", sigma_endo(sigma).to_json())
@@ -126,6 +126,11 @@ def test_der_basis_ring_flag(capsys, chain2_file):
 def test_der_basis_z_is_exit_2(capsys, chain2_file):
     assert run(["der", "basis", chain2_file, "--ring", "z"]) == 2
     assert "field" in capsys.readouterr().err
+
+
+def test_non_canonical_modulus_is_exit_2(capsys, chain2_file):
+    assert run(["der", "h1", chain2_file, "--ring", "zp:+7"]) == 2
+    assert "bad modulus" in capsys.readouterr().err
 
 
 def test_der_h1_text(capsys, chain3_file):
@@ -206,7 +211,7 @@ def test_probe_cap_must_be_positive(capsys, chain2_file, z2_map_file):
     for argv, flag in (
         (["locder", "verify", chain2_file, z2_map_file], "--probe-cap"),
         (["theorem", "random", chain2_file, "--ring", "zp:2"], "--probe-cap"),
-        (["theorem", "enumerate", chain2_file], "--endo-cap"),
+        (["theorem", "enumerate", chain2_file], "--probe-cap"),
     ):
         assert run(argv + [flag, "-1"]) == 2
         assert flag in capsys.readouterr().err
@@ -344,12 +349,23 @@ def test_theorem_enumerate_rejects_rationals(capsys, chain2_file):
 
 
 def test_theorem_enumerate_cap_exit_2(capsys, chain2_file):
+    # The 2-chain over zp:3 has 3^3 = 27 exhaustive probes.
     code = run(
         ["theorem", "enumerate", chain2_file, "--ring", "zp:3",
-         "--endo-cap", "100"]
+         "--probe-cap", "26"]
     )
     assert code == 2
-    assert "endo-cap" in capsys.readouterr().err
+    assert "--probe-cap" in capsys.readouterr().err
+    argv = ["theorem", "enumerate", chain2_file, "--ring", "zp:3"]
+    assert run(argv + ["--probe-cap", "27"]) == 0
+
+
+def test_theorem_enumerate_three_chain_mod_two(capsys, chain3_file):
+    # 2^36 endomorphisms, but only 2^6 probes for the rank computation.
+    assert run(["theorem", "enumerate", chain3_file]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: confirmed" in out
+    assert f"endos: {2 ** 36}" in out
 
 
 def test_theorem_random_text(capsys, chain3_file):

@@ -19,10 +19,17 @@ from fia.deriv import (
     is_cocycle,
     is_derivation,
     sigma_endo,
-    transitive_map,
 )
-from fia.fialg import AlgebraError, delta, element, subset_idempotent, unit, zero
-from fia.poset import PosetError, random_poset
+from fia.fialg import (
+    AlgebraError,
+    FiElement,
+    delta,
+    element,
+    subset_idempotent,
+    unit,
+    zero,
+)
+from fia.poset import random_poset
 from fia.scalars import GF, QQ, ZZ, RingError
 
 from helpers import (
@@ -34,6 +41,7 @@ from helpers import (
     SINGLETON,
     all_units,
     chain,
+    cocycle_by_definition,
     commutator_span_basis,
     dense_decomposition,
     leibniz_kernel_basis,
@@ -151,7 +159,7 @@ def test_is_derivation_agrees_with_convolve_leibniz():
                 branches.add((dec.residual_norm == 0, is_cocycle(dec.sigma)))
     # Zero residual with a sigma that is not additive on the 3-chain.
     for ring in (QQ, ZZ):
-        sigma = transitive_map(CHAIN3, ring, {("x", "y"): 1, ("y", "z"): 1})
+        sigma = element(CHAIN3, ring, {("x", "y"): 1, ("y", "z"): 1})
         alpha = element(CHAIN3, ring, {("x", "y"): 2, ("x", "z"): -1})
         e = inner(alpha) + sigma_endo(sigma)
         dec = decompose(e)
@@ -250,7 +258,7 @@ def test_h1_crown_has_outer_derivation():
     # constrain them); coboundaries have rank 3 on the connected
     # four-cycle, leaving one outer direction.
     assert h1_dimension(CROWN, QQ) == 1
-    sigma = transitive_map(CROWN, QQ, {("a", "c"): 1})
+    sigma = element(CROWN, QQ, {("a", "c"): 1})
     d = sigma_endo(sigma)
     assert is_derivation(d)
     # No point function has f(c)-f(a) = 1 but zero on a-d, b-c, b-d, so
@@ -277,7 +285,7 @@ def test_add_row_counts_rank_and_matches_rref_pivots():
     assert all(pivots[lead][lead] == 1 for lead in pivots)
 
 
-# -- transitive maps and cocycles ------------------------------------------
+# -- cocycles -------------------------------------------------------------
 
 
 def test_cocycle_iff_diagonal_map_is_derivation():
@@ -287,7 +295,7 @@ def test_cocycle_iff_diagonal_map_is_derivation():
     for poset in (SINGLETON, ANTICHAIN2, CHAIN2, CHAIN3, CROWN):
         pairs = poset.pairs()
         for bits in itertools.product(range(2), repeat=len(pairs)):
-            sigma = transitive_map(
+            sigma = element(
                 poset, ring, {pair: v for pair, v in zip(pairs, bits)}
             )
             assert is_derivation(sigma_endo(sigma)) == is_cocycle(sigma)
@@ -300,8 +308,42 @@ def test_cocycle_iff_derivation_rational_samples():
         values = {
             pair: QQ.sample(rng) for pair in poset.pairs() if rng.random() < 0.7
         }
-        sigma = transitive_map(poset, QQ, values)
+        sigma = element(poset, QQ, values)
         assert is_derivation(sigma_endo(sigma)) == is_cocycle(sigma)
+
+
+def test_is_cocycle_matches_the_definition_on_every_gf2_sigma():
+    # is_cocycle reads only the diagonal and cover rows; the oracle checks
+    # every factorization i <= k <= j.
+    ring = GF(2)
+    outcomes = set()
+    for poset in small_posets(4) + [DIAMOND, CROWN, chain(4)]:
+        for bits in itertools.product(range(2), repeat=poset.npairs):
+            entries = {pair: 1 for pair, v in zip(poset.ipairs, bits) if v}
+            sigma = FiElement(poset, ring, entries)
+            got = is_cocycle(sigma)
+            assert got == cocycle_by_definition(sigma)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_is_cocycle_matches_the_definition_on_seeded_sigma():
+    rng = random.Random(61)
+    outcomes = set()
+    for seed in range(24):
+        poset = random_poset(rng.randint(1, 6), 0.5, seed + 1300)
+        ring = (QQ, GF(3))[seed % 2]
+        basis = derivation_basis(poset, ring)
+        cocycle = decompose(random_derivation(poset, ring, rng, basis)).sigma
+        bumped = dict(cocycle.entries)
+        pair = rng.choice(poset.ipairs)
+        bumped[pair] = ring.add(bumped.get(pair, ring.zero), ring.one)
+        bumped = FiElement(poset, ring, {k: v for k, v in bumped.items() if v})
+        for sigma in (cocycle, bumped, random_element(poset, ring, rng)):
+            got = is_cocycle(sigma)
+            assert got == cocycle_by_definition(sigma)
+            outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_coboundaries_are_cocycles():
@@ -317,7 +359,7 @@ def test_coboundaries_are_cocycles():
 
 
 def test_non_cocycle_on_chain3_breaks_leibniz():
-    sigma = transitive_map(
+    sigma = element(
         CHAIN3, QQ, {("x", "y"): 1, ("y", "z"): 1, ("x", "z"): 0}
     )
     assert not is_cocycle(sigma)
@@ -332,7 +374,7 @@ def test_non_cocycle_on_chain3_breaks_leibniz():
     assert lhs.is_zero()
     assert rhs == 2 * unit(CHAIN3, QQ, "x", "z")
     # The same values over Zp(2) do satisfy additivity: 1 + 1 = 0.
-    sigma2 = transitive_map(
+    sigma2 = element(
         CHAIN3, GF(2), {("x", "y"): 1, ("y", "z"): 1, ("x", "z"): 0}
     )
     assert is_cocycle(sigma2)
@@ -341,18 +383,9 @@ def test_non_cocycle_on_chain3_breaks_leibniz():
 
 def test_degenerate_triples_force_zero_on_diagonal():
     for ring in (QQ, GF(2), GF(5)):
-        sigma = transitive_map(CHAIN2, ring, {("a", "a"): 1})
+        sigma = element(CHAIN2, ring, {("a", "a"): 1})
         assert not is_cocycle(sigma)
         assert not is_derivation(sigma_endo(sigma))
-
-
-def test_transitive_map_value_and_support():
-    sigma = transitive_map(CHAIN3, QQ, {("x", "y"): 2, ("x", "z"): 0})
-    assert sigma.value("x", "y") == 2
-    assert sigma.value("x", "z") == 0
-    assert [(x, y) for x, y, _ in sigma.support()] == [("x", "y")]
-    with pytest.raises(PosetError):
-        sigma.value("z", "x")
 
 
 # -- the constructive decomposition ---------------------------------------
@@ -472,6 +505,23 @@ def test_endo_json_round_trip():
         obj = d.to_json()
         assert obj["poset_hash"] == CHAIN3.digest()
         assert endo_from_json(CHAIN3, obj) == d
+
+
+def test_endo_json_matches_an_entrywise_encoding():
+    rng = random.Random(67)
+    for ring in (QQ, ZZ, GF(5)):
+        for seed in range(4):
+            poset = random_poset(rng.randint(1, 5), 0.5, seed + 1400)
+            n = poset.npairs
+            cols = [
+                [ring.sample(rng) if rng.random() < 0.3 else ring.zero
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+            d = LinearEndo(poset, ring, cols)
+            want = [[ring.scalar_to_json(v) for v in col] for col in cols]
+            assert d.to_json()["columns"] == want
+            assert endo_from_json(poset, d.to_json()) == d
 
 
 def test_endo_json_rejects_wrong_poset():

@@ -11,7 +11,6 @@ from fia.deriv import (
     inner,
     is_derivation,
     sigma_endo,
-    transitive_map,
 )
 from fia.fialg import delta, element, unit, zero
 from fia.locder import (
@@ -39,6 +38,7 @@ from helpers import (
     CROWN,
     DIAMOND,
     SINGLETON,
+    chain,
     leibniz_on_units,
     random_derivation,
     random_element,
@@ -90,7 +90,7 @@ def test_derivation_is_its_own_witness():
 def test_witness_none_at_chain_probe():
     # The four-term chain element separates the non-cocycle diagonal map
     # from every derivation at once.
-    sigma = transitive_map(CHAIN3, QQ, NON_COCYCLE_CHAIN3)
+    sigma = element(CHAIN3, QQ, NON_COCYCLE_CHAIN3)
     d = sigma_endo(sigma)
     basis = derivation_basis(CHAIN3, QQ)
     probe = (
@@ -223,7 +223,7 @@ def test_exhaustive_probe_cap_applies_to_derivations():
 
 
 def test_spanning_rejects_non_cocycle_diagonal_map():
-    sigma = transitive_map(CHAIN3, QQ, NON_COCYCLE_CHAIN3)
+    sigma = element(CHAIN3, QQ, NON_COCYCLE_CHAIN3)
     report = check_local_spanning(sigma_endo(sigma), seed=0)
     assert report.verdict == "rejected"
     # 6 units, 8 subset idempotents, then the one chain probe: 15th.
@@ -254,7 +254,7 @@ def test_spanning_requires_field():
 
 
 def test_spanning_deterministic_per_seed():
-    sigma = transitive_map(CHAIN3, QQ, NON_COCYCLE_CHAIN3)
+    sigma = element(CHAIN3, QQ, NON_COCYCLE_CHAIN3)
     d = sigma_endo(sigma)
     a = check_local_spanning(d, seed=4).to_json()
     b = check_local_spanning(d, seed=4).to_json()
@@ -265,7 +265,7 @@ def test_spanning_probe_cap_refuses_a_longer_family():
     # A cut-short family could pass a map a later probe rejects, so a cap
     # below the family length is refused, for derivations and others.
     family = locder._spanning_count(CHAIN3)
-    sigma = transitive_map(CHAIN3, QQ, NON_COCYCLE_CHAIN3)
+    sigma = element(CHAIN3, QQ, NON_COCYCLE_CHAIN3)
     for d in (LinearEndo.zero(CHAIN3, QQ), sigma_endo(sigma)):
         with pytest.raises(CapExceededError, match="probe-cap"):
             check_local_spanning(d, probe_cap=5)
@@ -388,7 +388,7 @@ def test_lemmas_cannot_see_cocycle_defects():
     # The structural checks are necessary conditions only: a diagonal map
     # with non-additive sigma passes all five and still gets rejected by
     # the probing check.  Completeness lives in the probes, not here.
-    sigma = transitive_map(CHAIN3, QQ, NON_COCYCLE_CHAIN3)
+    sigma = element(CHAIN3, QQ, NON_COCYCLE_CHAIN3)
     d = sigma_endo(sigma)
     assert lemma_conformance(d, seed=0).all_pass
     assert check_local_spanning(d, seed=0).verdict == "rejected"
@@ -420,8 +420,11 @@ def test_enumerate_degenerate_posets():
 
 
 def test_enumerate_endo_cap():
-    with pytest.raises(CapExceededError, match="endo-cap"):
-        theorem_verify_enumerate(CHAIN2, 3, endo_cap=100)
+    # The 2-chain over GF(3) has 3^9 endomorphisms but 3^3 probes, and
+    # the cap bounds the probes the rank computation can walk.
+    with pytest.raises(CapExceededError, match="--probe-cap"):
+        theorem_verify_enumerate(CHAIN2, 3, probe_cap=26)
+    assert theorem_verify_enumerate(CHAIN2, 3, probe_cap=27).verdict == "confirmed"
 
 
 def scan_endomorphisms(poset, p):
@@ -489,6 +492,21 @@ def test_random_campaign_rationals():
     obj = report.to_json()
     assert obj["mode"] == "random"
     assert obj["trials"] == 8
+
+
+def test_random_campaign_checks_each_sample_once(monkeypatch):
+    seen = []
+
+    def counting(d):
+        seen.append(d)
+        return is_derivation(d)
+
+    monkeypatch.setattr(locder, "is_derivation", counting)
+    report = theorem_verify_random(chain(4), QQ, trials=20, seed=3)
+    assert report.verdict == "confirmed"
+    # 20 derivation and 20 non-derivation samples, each passed once.
+    assert len(seen) == 40
+    assert len({id(d) for d in seen}) == 40
 
 
 def test_random_campaign_prime_field_goes_exhaustive():

@@ -25,6 +25,12 @@ def test_parse_ring_rejects_garbage():
     for text in ("Q", "zp", "zp:", "zp:x", "zp:4", "zp:1", "zp:-3", "gf:5", ""):
         with pytest.raises(RingError):
             parse_ring(text)
+    # int() reads these as 7 or 13; only the designator GF(p) prints is
+    # accepted, and a digit string too long for int() is a RingError too.
+    for text in ("zp: 7", "zp:+7", "zp:07 ", "zp:07", "zp:\u0667", "zp:1_3",
+                 "zp:" + "7" * 5000):
+        with pytest.raises(RingError, match="bad modulus"):
+            parse_ring(text)
 
 
 def test_is_prime_small_values():
