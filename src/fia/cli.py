@@ -65,6 +65,11 @@ def _render_text(lines) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _lines(payload, *keys) -> list[str]:
+    """One "key: value" text line per named payload entry."""
+    return [f"{key}: {payload[key]}" for key in keys]
+
+
 # -- command handlers: each returns (payload, text lines, exit code) --------
 
 
@@ -76,33 +81,26 @@ def _cmd_poset_check(args):
         "covers": len(poset.covers),
         "pairs": poset.npairs,
     }
-    lines = [
-        f"elements: {payload['elements']}",
-        f"covers: {payload['covers']}",
-        f"pairs: {payload['pairs']}",
-        "ok",
-    ]
-    return payload, lines, 0
+    return payload, _lines(payload, "elements", "covers", "pairs") + ["ok"], 0
 
 
 def _cmd_der_basis(args):
     poset = _read_poset(args.poset)
     ring = parse_ring(args.ring)
-    n = poset.npairs
-    scalars = deriv.derivation_dimension(poset, ring) * n * n
-    if scalars > BASIS_SCALAR_CAP:
-        raise AlgebraError(
-            f"the basis has {scalars} scalars, above the cap of {BASIS_SCALAR_CAP}"
-        )
-    basis = deriv.derivation_basis(poset, ring)
     payload = {
         "mode": "der-basis",
         "ring": ring.designator(),
-        "dimension": len(basis),
-        "basis": [b.to_json() for b in basis],
+        "dimension": deriv.derivation_dimension(poset, ring),
     }
-    lines = [f"ring: {ring.designator()}", f"dimension: {len(basis)}"]
-    return payload, lines, 0
+    # Text prints the dimension only, so only JSON builds the basis.
+    if args.format_ == "json":
+        scalars = payload["dimension"] * poset.npairs**2
+        if scalars > BASIS_SCALAR_CAP:
+            raise AlgebraError(
+                f"the basis has {scalars} scalars, above the cap of {BASIS_SCALAR_CAP}"
+            )
+        payload["basis"] = [b.to_json() for b in deriv.derivation_basis(poset, ring)]
+    return payload, _lines(payload, "ring", "dimension"), 0
 
 
 def _cmd_der_h1(args):
@@ -117,12 +115,7 @@ def _cmd_der_h1(args):
         "dim_inner": dim_inner,
         "h1": dim_der - dim_inner,
     }
-    lines = [
-        f"ring: {ring.designator()}",
-        f"dim_derivations: {dim_der}",
-        f"dim_inner: {dim_inner}",
-        f"h1: {dim_der - dim_inner}",
-    ]
+    lines = _lines(payload, "ring", "dim_derivations", "dim_inner", "h1")
     return payload, lines, 0
 
 
@@ -155,16 +148,10 @@ def _cmd_locder_verify(args):
             d, seed=args.seed, probe_cap=args.probe_cap
         )
     payload = report.to_json()
-    lines = [
-        f"mode: {report.mode}",
-        f"ring: {report.ring}",
-        f"verdict: {report.verdict}",
-        f"probes_checked: {report.probes_checked}",
-    ]
-    if report.failing_probe is not None:
+    lines = _lines(payload, "mode", "ring", "verdict", "probes_checked")
+    if "failing_probe" in payload:
         lines.append(
-            "failing_probe: "
-            + json.dumps(report.failing_probe.to_json(), sort_keys=True)
+            "failing_probe: " + json.dumps(payload["failing_probe"], sort_keys=True)
         )
     return payload, lines, _verdict_exit(report.verdict)
 
@@ -188,13 +175,8 @@ def _cmd_theorem_enumerate(args):
         raise RingError("theorem enumerate needs a zp ring")
     report = locder.theorem_verify_enumerate(poset, ring.p, probe_cap=args.probe_cap)
     payload = report.to_json()
-    lines = [
-        f"ring: {report.ring}",
-        f"verdict: {report.verdict}",
-        f"s_der: {report.s_der}",
-        f"s_loc: {report.s_loc}",
-        f"endos: {report.probes_checked}",
-    ]
+    lines = _lines(payload, "ring", "verdict", "s_der", "s_loc")
+    lines.append(f"endos: {payload['probes_checked']}")
     return payload, lines, _verdict_exit(report.verdict)
 
 
@@ -205,13 +187,7 @@ def _cmd_theorem_random(args):
         poset, ring, trials=args.trials, seed=args.seed, probe_cap=args.probe_cap
     )
     payload = report.to_json()
-    lines = [
-        f"ring: {report.ring}",
-        f"verdict: {report.verdict}",
-        f"trials: {report.trials}",
-        f"seed: {report.seed}",
-        f"probes_checked: {report.probes_checked}",
-    ]
+    lines = _lines(payload, "ring", "verdict", "trials", "seed", "probes_checked")
     return payload, lines, _verdict_exit(report.verdict)
 
 

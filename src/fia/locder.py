@@ -21,13 +21,17 @@ The theorem harnesses compare Loc with Der, either by rank over a prime
 field (dim Loc against dim Der, which settles all p^(n^2) endomorphisms
 at once) or by seeded random campaigns.  Everything runs in one process,
 in a fixed order, so a report depends only on its inputs.
+
+Each report is declared once.  The verify and theorem reports write
+their set fields through one to_json, and the lemma checks are one
+table of named results, each computed by one predicate.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
 
 from . import _linalg
@@ -62,14 +66,18 @@ class CapExceededError(ValueError):
     """The requested enumeration is larger than the configured cap."""
 
 
-@dataclass
-class Witness:
-    element: FiElement
-    derivation: LinearEndo
+class _FlatReport:
+    def to_json(self) -> dict:
+        """The fields that are set, in order; an element as its JSON."""
+        return {
+            name: value.to_json() if isinstance(value, FiElement) else value
+            for name, value in vars(self).items()
+            if value is not None
+        }
 
 
 @dataclass
-class LocalCheckReport:
+class LocalCheckReport(_FlatReport):
     mode: str
     verdict: str
     probes_checked: int
@@ -77,60 +85,30 @@ class LocalCheckReport:
     failing_probe: FiElement | None = None
     seed: int | None = None
 
-    def to_json(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "verdict": self.verdict,
-            "probes_checked": self.probes_checked,
-            "ring": self.ring,
-        }
-        if self.failing_probe is not None:
-            out["failing_probe"] = self.failing_probe.to_json()
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
 
 @dataclass
 class LemmaReport:
     ring: str
     seed: int
-    samples: int
-    restriction: bool
-    subset_rule: bool
-    diagonal_sign: bool
-    idempotent_identity: bool
-    reduced_support: bool
+    checks: dict[str, bool]
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.restriction
-            and self.subset_rule
-            and self.diagonal_sign
-            and self.idempotent_identity
-            and self.reduced_support
-        )
+        return all(self.checks.values())
 
     def to_json(self) -> dict:
         return {
             "mode": "lemmas",
             "ring": self.ring,
             "seed": self.seed,
-            "samples": self.samples,
-            "checks": {
-                "restriction": self.restriction,
-                "subset_rule": self.subset_rule,
-                "diagonal_sign": self.diagonal_sign,
-                "idempotent_identity": self.idempotent_identity,
-                "reduced_support": self.reduced_support,
-            },
+            "samples": LEMMA_SAMPLES,
+            "checks": self.checks,
             "all_pass": self.all_pass,
         }
 
 
 @dataclass
-class TheoremReport:
+class TheoremReport(_FlatReport):
     mode: str
     verdict: str
     ring: str
@@ -139,21 +117,6 @@ class TheoremReport:
     probes_checked: int
     seed: int | None = None
     trials: int | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "verdict": self.verdict,
-            "ring": self.ring,
-            "s_der": self.s_der,
-            "s_loc": self.s_loc,
-            "probes_checked": self.probes_checked,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.trials is not None:
-            out["trials"] = self.trials
-        return out
 
 
 # -- witnesses -------------------------------------------------------------
@@ -198,7 +161,7 @@ def _residual(ring, basis_cols, d_cols, vec, n, tagged=False) -> dict:
     return _linalg.reduce_vector(target, w_a, ring)
 
 
-def witness_for(d: LinearEndo, a: FiElement, der_basis) -> Witness | None:
+def witness_for(d: LinearEndo, a: FiElement, der_basis) -> LinearEndo | None:
     """A derivation from the span of der_basis agreeing with d at a, if any."""
     ring = d.ring
     n = d.poset.npairs
@@ -210,7 +173,7 @@ def witness_for(d: LinearEndo, a: FiElement, der_basis) -> Witness | None:
     for k, b in enumerate(der_basis):
         if n + k in rest:
             witness = witness + b.scale(ring.neg(rest[n + k]))
-    return Witness(a, witness)
+    return witness
 
 
 # -- the probe scan ----------------------------------------------------------
@@ -378,103 +341,71 @@ def lemma_conformance(d: LinearEndo, seed: int = 0) -> LemmaReport:
     Probes restriction invariance of corner coefficients, the three-case
     rule for images of subset idempotents, the sign flip between the two
     diagonal units of a pair, the idempotent identity on e_x, e_X and the
-    pair idempotents, and the one-pair support of the reduced map.
+    pair idempotents, and the one-pair support of the reduced map.  The
+    restriction samples are drawn one at a time, up to the first that
+    fails, and the subset masks after them.
     """
     poset, ring = d.poset, d.ring
     els = poset.elements
     n = len(els)
     pos = poset.pair_pos
-    zero_raw = ring.zero
     rng = random.Random(seed)
 
-    ok_restriction = True
-    for _ in range(LEMMA_SAMPLES):
-        a = element(
-            poset,
-            ring,
-            {
-                (els[i], els[j]): ring.sample(rng)
-                for i, j in poset.ipairs
-            },
+    def sample():
+        return element(
+            poset, ring, {(els[i], els[j]): ring.sample(rng) for i, j in poset.ipairs}
         )
-        for i, j in poset.ipairs:
-            x, y = els[i], els[j]
-            left = d.apply_coeff(a, x, y)
-            right = d.apply_coeff(restrict(a, x, y), x, y)
-            if left != right:
-                ok_restriction = False
-                break
-        if not ok_restriction:
-            break
 
-    masks = [rng.getrandbits(n) if n else 0 for _ in range(LEMMA_SAMPLES)]
-    ok_subset = True
-    for mask in masks:
-        labels = [els[i] for i in range(n) if mask >> i & 1]
-        image = d.apply(subset_idempotent(poset, ring, labels))
+    def corners_kept(a):
+        return all(
+            d.apply_coeff(a, x, y) == d.apply_coeff(restrict(a, x, y), x, y)
+            for x, y in poset.pairs()
+        )
+
+    def subset_rule_image(mask):
+        # d(e_X) is d(e_u) at a pair (u, v) with u in X and v not, d(e_v)
+        # there with v in X and u not, and zero at every other pair.
+        entries = {}
         for t, (u, v) in enumerate(poset.ipairs):
-            got = image.entries.get((u, v), zero_raw)
-            u_in = mask >> u & 1
-            v_in = mask >> v & 1
-            if u_in and not v_in:
-                want = d.cols[pos(u, u)][t]
-            elif v_in and not u_in:
-                want = d.cols[pos(v, v)][t]
-            else:
-                want = zero_raw
-            if got != want:
-                ok_subset = False
-                break
-        if not ok_subset:
-            break
+            u_in, v_in = mask >> u & 1, mask >> v & 1
+            if u_in != v_in:
+                value = d.cols[pos(u, u) if u_in else pos(v, v)][t]
+                if value != ring.zero:
+                    entries[(u, v)] = value
+        return FiElement(poset, ring, entries)
 
-    ok_sign = True
-    for t, (x, y) in enumerate(poset.ipairs):
-        if d.cols[pos(x, x)][t] != ring.neg(d.cols[pos(y, y)][t]):
-            ok_sign = False
-            break
-
-    ok_idem = True
-    for x in els:
-        if not idempotent_identity_check(d, subset_idempotent(poset, ring, [x])):
-            ok_idem = False
-            break
-    if ok_idem:
-        for mask in masks:
-            labels = [els[i] for i in range(n) if mask >> i & 1]
-            if not idempotent_identity_check(
-                d, subset_idempotent(poset, ring, labels)
-            ):
-                ok_idem = False
-                break
-    if ok_idem:
-        for i, j in poset.ipairs:
-            if i == j:
-                continue
-            x, y = els[i], els[j]
-            e_pair = unit(poset, ring, x, y)
-            for corner in (x, y):
-                e = subset_idempotent(poset, ring, [corner]) + e_pair
-                if not idempotent_identity_check(d, e):
-                    ok_idem = False
-                    break
-            if not ok_idem:
-                break
-
+    checks = {
+        "restriction": all(corners_kept(sample()) for _ in range(LEMMA_SAMPLES)),
+    }
+    masks = [rng.getrandbits(n) if n else 0 for _ in range(LEMMA_SAMPLES)]
+    subsets = [
+        subset_idempotent(poset, ring, [els[i] for i in range(n) if mask >> i & 1])
+        for mask in masks
+    ]
+    checks["subset_rule"] = all(
+        d.apply(e) == subset_rule_image(mask) for mask, e in zip(masks, subsets)
+    )
+    checks["diagonal_sign"] = all(
+        d.cols[pos(x, x)][t] == ring.neg(d.cols[pos(y, y)][t])
+        for t, (x, y) in enumerate(poset.ipairs)
+    )
+    checks["idempotent_identity"] = all(
+        idempotent_identity_check(d, e)
+        for e in chain(
+            (subset_idempotent(poset, ring, [x]) for x in els),
+            subsets,
+            (
+                subset_idempotent(poset, ring, [corner]) + unit(poset, ring, x, y)
+                for x, y in poset.pairs()
+                if x != y
+                for corner in (x, y)
+            ),
+        )
+    )
     # The reduced map d - inner(alpha) keeps only diagonal entries iff
     # the split leaves no residual.
-    ok_support = decompose(d).residual_norm == 0
-
-    return LemmaReport(
-        ring=ring.designator(),
-        seed=seed,
-        samples=LEMMA_SAMPLES,
-        restriction=ok_restriction,
-        subset_rule=ok_subset,
-        diagonal_sign=ok_sign,
-        idempotent_identity=ok_idem,
-        reduced_support=ok_support,
-    )
+    checks["reduced_support"] = decompose(d).residual_norm == 0
+    return LemmaReport(ring.designator(), seed, checks)
 
 
 # -- theorem harness: enumeration ------------------------------------------

@@ -180,9 +180,6 @@ class CoeffRing:
 
     # -- Scalar and JSON boundaries ----------------------------------
 
-    def scalar(self, value) -> "Scalar":
-        return Scalar(self, self.canonical(value))
-
     def scalar_to_json(self, raw):
         if self.kind == "q":
             return {"num": str(raw.numerator), "den": str(raw.denominator)}

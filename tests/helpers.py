@@ -4,7 +4,9 @@ The Leibniz checks here go straight through convolve on unit elements, so
 they share no code path with the solver-based machinery they are used to
 cross-check.  The oracles for Der and Inner build the Leibniz system on
 basis units and the commutator maps through convolve, and share only the
-elimination of fia._linalg with the library's split-based route.
+elimination of fia._linalg with the library's split-based route.  The
+endomorphism scan reads Der and every W_a off that Leibniz kernel as
+sets, so it shares nothing with the probe scan of fia.locder.
 """
 
 import itertools
@@ -13,6 +15,7 @@ from fia import _linalg
 from fia.deriv import LinearEndo, inner, sigma_endo
 from fia.fialg import FiElement, convolve, unit
 from fia.poset import Poset, parse_poset
+from fia.scalars import GF
 
 CHAIN2 = parse_poset("elements: a b\na < b\n")
 CHAIN3 = parse_poset("elements: x y z\nx < y\ny < z\n")
@@ -114,6 +117,42 @@ def leibniz_kernel_basis(poset, ring):
         LinearEndo(poset, ring, [list(vec[c * n:(c + 1) * n]) for c in range(n)])
         for vec in vecs
     ]
+
+
+def scan_endomorphisms(poset, p):
+    """Walk every endomorphism over GF(p): (derivations, local ones, agree).
+
+    Solver-free: Der is the set of all combinations of
+    leibniz_kernel_basis, W_a is the set of the tuples D(a) over Der, and
+    a map d is local iff d(a) lies in W_a at each of the p^npairs probes
+    a.  A map is flattened column by column, entry c*n + r being the e_r
+    coefficient of d(e_c).
+    """
+    n = poset.npairs
+    basis = [
+        [v for col in b.cols for v in col] for b in leibniz_kernel_basis(poset, GF(p))
+    ]
+    der = {
+        tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(n * n))
+        for coeffs in itertools.product(range(p), repeat=len(basis))
+    }
+
+    def image(flat, a):
+        return tuple(
+            sum(a[c] * flat[c * n + r] for c in range(n) if a[c]) % p for r in range(n)
+        )
+
+    probes = list(itertools.product(range(p), repeat=n))
+    w = [(a, {image(dd, a) for dd in der}) for a in probes]
+    n_der = n_loc = 0
+    agree = True
+    for flat in itertools.product(range(p), repeat=n * n):
+        is_der = flat in der
+        is_loc = all(image(flat, a) in w_a for a, w_a in w)
+        n_der += is_der
+        n_loc += is_loc
+        agree = agree and is_der == is_loc
+    return n_der, n_loc, agree
 
 
 def commutator_span_basis(poset, ring):

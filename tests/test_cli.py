@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import fia
+from fia import deriv
 from fia.cli import run
 from fia.deriv import derivation_basis, inner, sigma_endo
 from fia.fialg import element, element_from_json
@@ -249,6 +250,24 @@ def test_der_basis_refuses_a_large_basis(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_der_basis_text_builds_no_basis(capsys, tmp_path, monkeypatch):
+    # Text prints the dimension only, so a basis above the cap (104 maps
+    # of 105^2 scalars on the 14-chain) is never built nor refused.
+    def refuse(poset, ring):
+        raise AssertionError("text output built the basis")
+
+    monkeypatch.setattr(deriv, "derivation_basis", refuse)
+    labels = [f"c{i}" for i in range(14)]
+    text = "elements: " + " ".join(labels) + "\n"
+    text += "".join(f"{a} < {b}\n" for a, b in zip(labels, labels[1:]))
+    path = tmp_path / "chain14.poset"
+    path.write_text(text)
+    assert run(["der", "basis", str(path)]) == 0
+    assert capsys.readouterr().out == "ring: q\ndimension: 104\n"
+    assert run(["der", "basis", str(path), "--format", "json"]) == 2
+    assert "cap" in capsys.readouterr().err
 
 
 def test_locder_verify_wrong_poset_hash(capsys, chain2_file, good_map_file):
