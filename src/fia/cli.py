@@ -4,6 +4,13 @@ Verbs: poset check, der basis | h1 | decompose, locder verify | lemmas,
 theorem enumerate | random.  JSON output is byte-deterministic (sorted
 keys, canonical entry order); exit code 0 means success or a confirmed
 verdict, 1 a rejected or refuted verdict, 2 a usage, parse or IO error.
+
+Each handler returns its JSON output as an iterable of text chunks, its
+text lines and its exit code, and _emit writes the chosen format chunk by
+chunk.  Most reports are one canonical dump; der basis streams its maps
+straight from Der's sparse reduced rows, so it builds no map, no nested
+payload and no whole-output string.  Every check and cap runs before the
+first byte is written, so a refusal leaves the output empty.
 """
 
 from __future__ import annotations
@@ -17,9 +24,13 @@ from .fialg import AlgebraError
 from .poset import PosetError, parse_poset
 from .scalars import RingError, parse_ring
 
-# der basis prints dim Der maps of npairs^2 scalars each; the 12-chain over
-# q (77 * 78^2 = 468,468 scalars) peaks near 50 MB, the 13-chain near 65 MB.
-BASIS_SCALAR_CAP = 1 << 20
+# der basis --format json writes dim Der maps of npairs^2 scalars each,
+# streamed from the sparse reduced rows, so memory stays near 21-25 MB and
+# the cap bounds output bytes and time instead: a q scalar takes about 22
+# bytes and a zp:P scalar about 10, so 2^23 scalars are about 185 MB of q
+# output.  The 19-chain over q (189 * 190^2 = 6,822,900 scalars) writes
+# 150 MB in about 0.35 s, start-up included; the 20-chain is refused.
+BASIS_SCALAR_CAP = 1 << 23
 
 
 def _canonical_json(obj) -> str:
@@ -53,16 +64,18 @@ def _read_endo(path, poset, ring_flag):
     return d
 
 
-def _emit(rendered: str, out_path):
+def _json(payload):
+    """A report's JSON output: one chunk, dumped only when it is written."""
+    yield _canonical_json(payload)
+
+
+def _emit(chunks, out_path):
+    """Write an iterable of text chunks to stdout or to out_path."""
     if out_path is None:
-        sys.stdout.write(rendered)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-
-
-def _render_text(lines) -> str:
-    return "".join(line + "\n" for line in lines)
+            handle.writelines(chunks)
 
 
 def _lines(payload, *keys) -> list[str]:
@@ -70,7 +83,7 @@ def _lines(payload, *keys) -> list[str]:
     return [f"{key}: {payload[key]}" for key in keys]
 
 
-# -- command handlers: each returns (payload, text lines, exit code) --------
+# -- command handlers: each returns (JSON chunks, text lines, exit code) -----
 
 
 def _cmd_poset_check(args):
@@ -81,7 +94,8 @@ def _cmd_poset_check(args):
         "covers": len(poset.covers),
         "pairs": poset.npairs,
     }
-    return payload, _lines(payload, "elements", "covers", "pairs") + ["ok"], 0
+    lines = _lines(payload, "elements", "covers", "pairs") + ["ok"]
+    return _json(payload), lines, 0
 
 
 def _cmd_der_basis(args):
@@ -92,15 +106,27 @@ def _cmd_der_basis(args):
         "ring": ring.designator(),
         "dimension": deriv.derivation_dimension(poset, ring),
     }
-    # Text prints the dimension only, so only JSON builds the basis.
+    # Text prints the dimension only, so only JSON writes the basis; it is
+    # refused before its first byte.
     if args.format_ == "json":
         scalars = payload["dimension"] * poset.npairs**2
         if scalars > BASIS_SCALAR_CAP:
             raise AlgebraError(
                 f"the basis has {scalars} scalars, above the cap of {BASIS_SCALAR_CAP}"
             )
-        payload["basis"] = [b.to_json() for b in deriv.derivation_basis(poset, ring)]
-    return payload, _lines(payload, "ring", "dimension"), 0
+    lines = _lines(payload, "ring", "dimension")
+    return _basis_json(poset, ring, payload), lines, 0
+
+
+def _basis_json(poset, ring, payload):
+    """The canonical dump of payload plus its "basis" list, map by map.
+
+    "basis" sorts first, so the payload's own dump closes the list.
+    """
+    yield '{"basis":['
+    for k, text in enumerate(deriv.derivation_basis_json(poset, ring)):
+        yield "," + text if k else text
+    yield "]," + _canonical_json(payload)[1:]
 
 
 def _cmd_der_h1(args):
@@ -116,7 +142,7 @@ def _cmd_der_h1(args):
         "h1": dim_der - dim_inner,
     }
     lines = _lines(payload, "ring", "dim_derivations", "dim_inner", "h1")
-    return payload, lines, 0
+    return _json(payload), lines, 0
 
 
 def _cmd_der_decompose(args):
@@ -129,7 +155,7 @@ def _cmd_der_decompose(args):
         f"sigma entries: {len(dec.sigma.entries)}",
         f"residual: {dec.residual_norm}",
     ]
-    return payload, lines, 0
+    return _json(payload), lines, 0
 
 
 def _verdict_exit(verdict: str) -> int:
@@ -153,7 +179,7 @@ def _cmd_locder_verify(args):
         lines.append(
             "failing_probe: " + json.dumps(payload["failing_probe"], sort_keys=True)
         )
-    return payload, lines, _verdict_exit(report.verdict)
+    return _json(payload), lines, _verdict_exit(report.verdict)
 
 
 def _cmd_locder_lemmas(args):
@@ -165,7 +191,7 @@ def _cmd_locder_lemmas(args):
     for name, passed in sorted(payload["checks"].items()):
         lines.append(f"{name}: {'pass' if passed else 'FAIL'}")
     lines.append(f"all: {'pass' if report.all_pass else 'FAIL'}")
-    return payload, lines, 0 if report.all_pass else 1
+    return _json(payload), lines, 0 if report.all_pass else 1
 
 
 def _cmd_theorem_enumerate(args):
@@ -177,7 +203,7 @@ def _cmd_theorem_enumerate(args):
     payload = report.to_json()
     lines = _lines(payload, "ring", "verdict", "s_der", "s_loc")
     lines.append(f"endos: {payload['probes_checked']}")
-    return payload, lines, _verdict_exit(report.verdict)
+    return _json(payload), lines, _verdict_exit(report.verdict)
 
 
 def _cmd_theorem_random(args):
@@ -188,7 +214,7 @@ def _cmd_theorem_random(args):
     )
     payload = report.to_json()
     lines = _lines(payload, "ring", "verdict", "trials", "seed", "probes_checked")
-    return payload, lines, _verdict_exit(report.verdict)
+    return _json(payload), lines, _verdict_exit(report.verdict)
 
 
 def _positive_int(text: str) -> int:
@@ -286,7 +312,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        payload, lines, code = args.handler(args)
+        json_chunks, lines, code = args.handler(args)
     except (
         PosetError,
         RingError,
@@ -296,11 +322,10 @@ def run(argv) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rendered = (
-        _canonical_json(payload) if args.format_ == "json" else _render_text(lines)
-    )
+    text = (line + "\n" for line in lines)
+    chunks = json_chunks if args.format_ == "json" else text
     try:
-        _emit(rendered, args.out)
+        _emit(chunks, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

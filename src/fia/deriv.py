@@ -17,6 +17,7 @@ dimension and h1 = dim Der - dim Inner come from that elimination.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -416,6 +417,35 @@ def _dense_basis(poset: Poset, ring: CoeffRing, rows: dict[int, dict]):
 def derivation_basis(poset: Poset, ring: CoeffRing) -> list[LinearEndo]:
     """Canonical basis of the space of derivations, by exact elimination."""
     return _dense_basis(poset, ring, _derivation_rref(poset, ring))
+
+
+def derivation_basis_json(poset: Poset, ring: CoeffRing):
+    """Yield the canonical JSON text of each derivation_basis map, in order.
+
+    Each text is to_json() dumped with sorted keys and no whitespace, but
+    written straight from the reduced rows: no map is built, zero scalars
+    and all-zero columns are one shared string each.
+    """
+    rows = _derivation_rref(poset, ring)
+    n = poset.npairs
+
+    def dump(obj) -> str:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    zero = dump(ring.scalar_to_json(ring.zero))
+    zero_col = "[" + ",".join([zero] * n) + "]"
+    # "columns" sorts before "poset_hash" and "ring": the tail closes the
+    # column list and reuses the dump of the other two keys.
+    tail = "]," + dump({"poset_hash": poset.digest(), "ring": ring.designator()})[1:]
+    for lead in sorted(rows):
+        cols = {}
+        for var, v in rows[lead].items():
+            c, r = divmod(var, n)
+            cols.setdefault(c, {})[r] = dump(ring.scalar_to_json(v))
+        texts = [zero_col] * n
+        for c, col in cols.items():
+            texts[c] = "[" + ",".join([col.get(r, zero) for r in range(n)]) + "]"
+        yield '{"columns":[' + ",".join(texts) + tail
 
 
 def inner_basis(poset: Poset, ring: CoeffRing) -> list[LinearEndo]:

@@ -86,6 +86,13 @@ def chain(n):
     return Poset(labels, list(zip(labels, labels[1:])))
 
 
+def complete_bipartite(k):
+    """K(k,k): each of k minimal elements below each of k maximal ones."""
+    low = [f"a{i}" for i in range(k)]
+    high = [f"b{i}" for i in range(k)]
+    return Poset(low + high, [(a, b) for a in low for b in high])
+
+
 def leibniz_kernel_basis(poset, ring):
     """Der as the canonical nullspace of the Leibniz system on basis units.
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,18 @@ from fia import deriv
 from fia.cli import run
 from fia.deriv import derivation_basis, inner, sigma_endo
 from fia.fialg import element, element_from_json
-from fia.poset import parse_poset
+from fia.poset import parse_poset, random_poset
+from fia.scalars import parse_ring
 
-from helpers import CHAIN2, CHAIN3
+from helpers import (
+    ANTICHAIN2,
+    CHAIN2,
+    CHAIN3,
+    CROWN,
+    DIAMOND,
+    chain,
+    complete_bipartite,
+)
 
 CHAIN2_TEXT = "elements: a b\na < b\n"
 CHAIN3_TEXT = "elements: x y z\nx < y\ny < z\n"
@@ -31,6 +41,12 @@ def chain2_file(tmp_path):
 def chain3_file(tmp_path):
     path = tmp_path / "chain3.poset"
     path.write_text(CHAIN3_TEXT)
+    return str(path)
+
+
+def chain_file(tmp_path, n):
+    path = tmp_path / f"chain{n}.poset"
+    path.write_text(chain(n).serialize())
     return str(path)
 
 
@@ -240,34 +256,104 @@ def test_theorem_random_refuses_huge_trials_at_once(capsys, chain2_file):
     assert "--trials" in capsys.readouterr().err
 
 
-def test_der_basis_refuses_a_large_basis(capsys, tmp_path):
-    labels = [f"c{i}" for i in range(24)]
-    text = "elements: " + " ".join(labels) + "\n"
-    text += "".join(f"{a} < {b}\n" for a, b in zip(labels, labels[1:]))
-    path = tmp_path / "chain24.poset"
-    path.write_text(text)
-    assert run(["der", "basis", str(path), "--format", "json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-
-
 def test_der_basis_text_builds_no_basis(capsys, tmp_path, monkeypatch):
-    # Text prints the dimension only, so a basis above the cap (104 maps
-    # of 105^2 scalars on the 14-chain) is never built nor refused.
-    def refuse(poset, ring):
-        raise AssertionError("text output built the basis")
+    # Text prints the dimension only and JSON streams the reduced rows, so
+    # neither builds a map: not the 104 maps of 105^2 scalars on the
+    # 14-chain, and not a basis above the cap, which only JSON refuses.
+    def refuse(*args):
+        raise AssertionError("der basis built a dense map")
 
     monkeypatch.setattr(deriv, "derivation_basis", refuse)
-    labels = [f"c{i}" for i in range(14)]
-    text = "elements: " + " ".join(labels) + "\n"
-    text += "".join(f"{a} < {b}\n" for a, b in zip(labels, labels[1:]))
-    path = tmp_path / "chain14.poset"
-    path.write_text(text)
-    assert run(["der", "basis", str(path)]) == 0
+    monkeypatch.setattr(deriv.LinearEndo, "__init__", refuse)
+    path = chain_file(tmp_path, 14)
+    assert run(["der", "basis", path]) == 0
     assert capsys.readouterr().out == "ring: q\ndimension: 104\n"
-    assert run(["der", "basis", str(path), "--format", "json"]) == 2
+    target = tmp_path / "chain14.json"
+    assert run(["der", "basis", path, "--format", "json", "--out", str(target)]) == 0
+    head = b'{"basis":[{"columns":['
+    tail = b'],"dimension":104,"mode":"der-basis","ring":"q"}\n'
+    with open(target, "rb") as handle:
+        assert handle.read(len(head)) == head
+        handle.seek(-len(tail), os.SEEK_END)
+        assert handle.read() == tail
+    path = chain_file(tmp_path, 24)
+    assert run(["der", "basis", path]) == 0
+    assert capsys.readouterr().out == "ring: q\ndimension: 299\n"
+    assert run(["der", "basis", path, "--format", "json"]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def _old_basis_json(poset, ring):
+    """der basis --format json as the nested payload of dense maps, dumped once."""
+    basis = derivation_basis(poset, ring)
+    payload = {
+        "basis": [b.to_json() for b in basis],
+        "dimension": len(basis),
+        "mode": "der-basis",
+        "ring": ring.designator(),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+BASIS_POSETS = (
+    [chain(n) for n in range(2, 8)]
+    + [ANTICHAIN2, DIAMOND, CROWN, complete_bipartite(4)]
+    + [random_poset(n, 0.4, seed) for n, seed in ((4, 1), (5, 2), (6, 3), (7, 4))]
+)
+
+
+@pytest.mark.parametrize("ring_text", ["q", "zp:2", "zp:3", "zp:101"])
+def test_der_basis_json_streams_the_dense_payload(capsys, tmp_path, ring_text):
+    ring = parse_ring(ring_text)
+    for k, poset in enumerate(BASIS_POSETS):
+        path = tmp_path / f"p{k}.poset"
+        path.write_text(poset.serialize())
+        argv = ["der", "basis", str(path), "--ring", ring_text, "--format", "json"]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out == _old_basis_json(poset, ring), poset.serialize()
+        target = tmp_path / f"p{k}.json"
+        assert run(argv + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == out.encode()
+
+
+def test_der_basis_json_memory_stays_flat(tmp_path):
+    # 77 maps of 78^2 scalars, 10.3 MB of text.  Dense maps, a nested
+    # payload and one output string trace about 25 MB, and the string
+    # alone over 10 MB; written map by map from the sparse rows, the peak,
+    # elimination included, stays under 2 MB.
+    path = chain_file(tmp_path, 12)
+    target = tmp_path / "chain12.json"
+    deriv._derivation_rref.cache_clear()
+    tracemalloc.start()
+    try:
+        argv = ["der", "basis", path, "--ring", "q", "--format", "json",
+                "--out", str(target)]
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.stat().st_size > 10_000_000
+    assert peak < 2_000_000
+
+
+def test_der_basis_refusals_write_nothing(capsys, tmp_path, chain3_file):
+    # Not a field, a basis above the cap (299 maps of 300^2 scalars on the
+    # 24-chain) and an unwritable --out are all refused before any output.
+    cases = [
+        ["der", "basis", chain3_file, "--ring", "z"],
+        ["der", "basis", chain_file(tmp_path, 24)],
+        ["der", "basis", chain3_file, "--out", str(tmp_path / "no" / "out.json")],
+    ]
+    for argv in cases:
+        assert run(argv + ["--format", "json"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: "), argv
+        assert captured.err.count("\n") == 1, argv
+        assert "Traceback" not in captured.err, argv
+    assert not (tmp_path / "no").exists()
 
 
 def test_locder_verify_wrong_poset_hash(capsys, chain2_file, good_map_file):
