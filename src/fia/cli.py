@@ -10,17 +10,27 @@ text lines and its exit code, and _emit writes the chosen format chunk by
 chunk.  Most reports are one canonical dump; der basis streams its maps
 straight from Der's sparse reduced rows, so it builds no map, no nested
 payload and no whole-output string.  Every check and cap runs before the
-first byte is written, so a refusal leaves the output empty.
+first byte is written, so a refusal leaves the output empty.  A reader
+that closes stdout early gets one error line and exit 2, since the
+report was cut short.
+
+Start-up is most of a short run, and with PYTHONDONTWRITEBYTECODE set
+every process compiles each fia module it imports, so a process loads
+only what its verb runs: the poset and der verbs never import locder,
+the reports are plain classes (dataclasses would pull in inspect and
+ast), and hashlib, which loads OpenSSL, is imported only when a map's
+poset hash is read or written.  See README "Start-up".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from . import deriv, locder
-from .fialg import AlgebraError
+from . import deriv
+from .fialg import AlgebraError, CapExceededError
 from .poset import PosetError, parse_poset
 from .scalars import RingError, parse_ring
 
@@ -70,12 +80,25 @@ def _json(payload):
 
 
 def _emit(chunks, out_path):
-    """Write an iterable of text chunks to stdout or to out_path."""
-    if out_path is None:
-        sys.stdout.writelines(chunks)
-    else:
+    """Write an iterable of text chunks to stdout or to out_path.
+
+    A reader that closes stdout early cuts the report short, an IO error.
+    The flush raises it here for a report that still sits in the buffer.
+    """
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # What is still buffered can never be written; with stdout on
+        # devnull, the flush at exit cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise OSError("stdout was closed before the report was complete") from None
 
 
 def _lines(payload, *keys) -> list[str]:
@@ -158,13 +181,21 @@ def _cmd_der_decompose(args):
     return _json(payload), lines, 0
 
 
+# The locder and theorem handlers import locder themselves, so that the
+# poset and der verbs never compile it.
+
+
 def _verdict_exit(verdict: str) -> int:
+    from . import locder
+
     if verdict in (locder.VERDICT_REJECTED, locder.VERDICT_REFUTED):
         return 1
     return 0
 
 
 def _cmd_locder_verify(args):
+    from . import locder
+
     poset = _read_poset(args.poset)
     d = _read_endo(args.map, poset, args.ring)
     if args.mode == "exhaustive":
@@ -183,6 +214,8 @@ def _cmd_locder_verify(args):
 
 
 def _cmd_locder_lemmas(args):
+    from . import locder
+
     poset = _read_poset(args.poset)
     d = _read_endo(args.map, poset, args.ring)
     report = locder.lemma_conformance(d, seed=args.seed)
@@ -195,6 +228,8 @@ def _cmd_locder_lemmas(args):
 
 
 def _cmd_theorem_enumerate(args):
+    from . import locder
+
     poset = _read_poset(args.poset)
     ring = parse_ring(args.ring)
     if ring.kind != "zp":
@@ -207,6 +242,8 @@ def _cmd_theorem_enumerate(args):
 
 
 def _cmd_theorem_random(args):
+    from . import locder
+
     poset = _read_poset(args.poset)
     ring = parse_ring(args.ring)
     report = locder.theorem_verify_random(
@@ -317,7 +354,7 @@ def run(argv) -> int:
         PosetError,
         RingError,
         AlgebraError,
-        locder.CapExceededError,
+        CapExceededError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ dimension and h1 = dim Der - dim Inner come from that elimination.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
@@ -304,13 +303,22 @@ def is_derivation(d: LinearEndo) -> bool:
     return next(off_diagonal, None) is None and is_cocycle(sigma)
 
 
-@dataclass
 class Decomposition:
     """d = (commutator with alpha) + (diagonal map of sigma), up to residual."""
 
-    alpha: FiElement
-    sigma: FiElement
-    residual_norm: int
+    def __init__(self, alpha: FiElement, sigma: FiElement, residual_norm: int):
+        self.alpha = alpha
+        self.sigma = sigma
+        self.residual_norm = residual_norm
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"Decomposition({fields})"
 
     def to_json(self) -> dict:
         return {

@@ -17,6 +17,10 @@ class AlgebraError(ValueError):
     """Invalid incidence-algebra construction or operand combination."""
 
 
+class CapExceededError(ValueError):
+    """The requested enumeration is larger than the configured cap."""
+
+
 def _check_compatible(a: "FiElement", b: "FiElement"):
     if a.poset != b.poset:
         raise AlgebraError("elements live over different posets")

@@ -30,8 +30,7 @@ table of named results, each computed by one predicate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, product
 from math import comb
 
 from . import _linalg
@@ -43,7 +42,14 @@ from .deriv import (
     idempotent_identity_check,
     is_derivation,
 )
-from .fialg import FiElement, element, restrict, subset_idempotent, unit
+from .fialg import (
+    CapExceededError,
+    FiElement,
+    element,
+    restrict,
+    subset_idempotent,
+    unit,
+)
 from .poset import Poset
 from .scalars import GF, CoeffRing, RingError
 
@@ -62,11 +68,18 @@ VERDICT_CONFIRMED = "confirmed"
 VERDICT_REFUTED = "REFUTED"
 
 
-class CapExceededError(ValueError):
-    """The requested enumeration is larger than the configured cap."""
+class _Report:
+    """Fields set by __init__ in declaration order; equal when all agree."""
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
 
-class _FlatReport:
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
     def to_json(self) -> dict:
         """The fields that are set, in order; an element as its JSON."""
         return {
@@ -76,21 +89,29 @@ class _FlatReport:
         }
 
 
-@dataclass
-class LocalCheckReport(_FlatReport):
-    mode: str
-    verdict: str
-    probes_checked: int
-    ring: str
-    failing_probe: FiElement | None = None
-    seed: int | None = None
+class LocalCheckReport(_Report):
+    def __init__(
+        self,
+        mode: str,
+        verdict: str,
+        probes_checked: int,
+        ring: str,
+        failing_probe: FiElement | None = None,
+        seed: int | None = None,
+    ):
+        self.mode = mode
+        self.verdict = verdict
+        self.probes_checked = probes_checked
+        self.ring = ring
+        self.failing_probe = failing_probe
+        self.seed = seed
 
 
-@dataclass
-class LemmaReport:
-    ring: str
-    seed: int
-    checks: dict[str, bool]
+class LemmaReport(_Report):
+    def __init__(self, ring: str, seed: int, checks: dict[str, bool]):
+        self.ring = ring
+        self.seed = seed
+        self.checks = checks
 
     @property
     def all_pass(self) -> bool:
@@ -107,16 +128,26 @@ class LemmaReport:
         }
 
 
-@dataclass
-class TheoremReport(_FlatReport):
-    mode: str
-    verdict: str
-    ring: str
-    s_der: int
-    s_loc: int
-    probes_checked: int
-    seed: int | None = None
-    trials: int | None = None
+class TheoremReport(_Report):
+    def __init__(
+        self,
+        mode: str,
+        verdict: str,
+        ring: str,
+        s_der: int,
+        s_loc: int,
+        probes_checked: int,
+        seed: int | None = None,
+        trials: int | None = None,
+    ):
+        self.mode = mode
+        self.verdict = verdict
+        self.ring = ring
+        self.s_der = s_der
+        self.s_loc = s_loc
+        self.probes_checked = probes_checked
+        self.seed = seed
+        self.trials = trials
 
 
 # -- witnesses -------------------------------------------------------------
@@ -411,13 +442,30 @@ def lemma_conformance(d: LinearEndo, seed: int = 0) -> LemmaReport:
 # -- theorem harness: enumeration ------------------------------------------
 
 
+def _vectors_by_support(p: int, n: int):
+    """Every nonzero vector of n base-p digits whose first nonzero digit
+    is 1, those with fewer nonzero digits first.
+
+    Up to a scalar these are all p^n - 1 nonzero vectors.  A fresh list
+    is yielded each time.
+    """
+    for size in range(1, n + 1):
+        for support in combinations(range(n), size):
+            for rest in product(range(1, p), repeat=size - 1):
+                digits = [0] * n
+                for t, v in zip(support, (1, *rest)):
+                    digits[t] = v
+                yield digits
+
+
 def local_dimension(poset: Poset, ring: CoeffRing) -> int:
     """dim Loc over a prime field, as the nullity of the probe conditions.
 
     Each probe a adds the rows y . d(a) = 0 on the n^2 entries of d, one
     per annihilator y of W_a.  Probes are taken up to a scalar (first
-    nonzero digit 1), and elimination stops once the rank reaches
-    n^2 - dim Der, its maximum since Der lies in Loc.
+    nonzero digit 1), units first and then by support size, since sparse
+    probes tend to carry the most conditions, and elimination stops once
+    the rank reaches n^2 - dim Der, its maximum since Der lies in Loc.
     """
     if ring.kind != "zp":
         raise RingError("the local-derivation space needs a zp ring")
@@ -427,11 +475,9 @@ def local_dimension(poset: Poset, ring: CoeffRing) -> int:
     saturated = n * n - len(basis_cols)
     pivots: dict[int, dict] = {}
     rank = 0
-    for digits in _digit_vectors(p, n):
+    for digits in _vectors_by_support(p, n):
         if rank == saturated:
             break
-        if next((v for v in digits if v), 0) != 1:
-            continue
         w_a = _linalg.rref(_images(ring, basis_cols, digits, n), ring)
         for y in _linalg.nullspace(w_a, n, ring):
             row = {

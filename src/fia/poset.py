@@ -13,7 +13,6 @@ columns by it.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import re
 
@@ -194,6 +193,8 @@ class Poset:
 
     def digest(self) -> str:
         """Hex digest of the canonical serialization; names the poset in maps."""
+        import hashlib  # loads OpenSSL; only verbs that read or write maps get here
+
         return hashlib.sha256(self.serialize().encode()).hexdigest()
 
 

@@ -10,7 +10,10 @@ sets, so it shares nothing with the probe scan of fia.locder.
 """
 
 import itertools
+import os
+from pathlib import Path
 
+import fia
 from fia import _linalg
 from fia.deriv import LinearEndo, inner, sigma_endo
 from fia.fialg import FiElement, convolve, unit
@@ -213,3 +216,11 @@ def cocycle_by_definition(sigma):
             if ring.add(left, right) != target:
                 return False
     return True
+
+
+def child_env():
+    """The environment for a child Python that imports fia from this tree."""
+    src = str(Path(fia.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

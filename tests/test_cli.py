@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-import fia
 from fia import deriv
 from fia.cli import run
 from fia.deriv import derivation_basis, inner, sigma_endo
@@ -23,8 +22,11 @@ from helpers import (
     CROWN,
     DIAMOND,
     chain,
+    child_env,
     complete_bipartite,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CHAIN2_TEXT = "elements: a b\na < b\n"
 CHAIN3_TEXT = "elements: x y z\nx < y\ny < z\n"
@@ -80,14 +82,6 @@ def z2_map_file(tmp_path):
 
     basis = derivation_basis(CHAIN2, GF(2))
     return write_json(tmp_path, "der2.json", (basis[0] + basis[1]).to_json())
-
-
-def child_env():
-    """The environment for a child Python that imports fia from this tree."""
-    src = str(Path(fia.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def run_json(capsys, argv):
@@ -517,17 +511,72 @@ def test_usage_errors_exit_2():
     assert run([]) == 2
 
 
-def test_cli_import_leaves_multiprocessing_out():
-    # Everything runs in one process, so start-up need not pay for it.
-    code = "import sys, fia.cli; print('multiprocessing' in sys.modules)"
+# Each verb on the golden catalogue, and which of the modules in
+# STARTUP_WATCH it may load: OpenSSL (hashlib) only where a poset hash is
+# read or written, locder only for the locder and theorem verbs, and never
+# dataclasses (inspect, ast, dis, tokenize) or multiprocessing.
+STARTUP_WATCH = ("dataclasses", "hashlib", "fia.locder", "multiprocessing")
+VERB_LOADS = {
+    "poset check": ("chain2.poset", set()),
+    "der h1": ("chain3.poset", set()),
+    "der basis": ("chain3.poset", {"hashlib"}),
+    "der decompose": ("chain3.poset chain3.q.der.json", {"hashlib"}),
+    "locder verify": ("chain3.poset chain3.zp3.der.json", {"hashlib", "fia.locder"}),
+    "locder lemmas": ("chain3.poset chain3.q.der.json", {"hashlib", "fia.locder"}),
+    "theorem enumerate": ("chain3.poset", {"fia.locder"}),
+    "theorem random": ("chain3.poset --trials 3", {"fia.locder"}),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_LOADS))
+def test_verb_loads_only_what_it_uses(verb):
+    operands, expected = VERB_LOADS[verb]
+    code = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('fia.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        f"    watched = [m for m in {STARTUP_WATCH!r} if m in sys.modules]\n"
+        "    print(exc.code, *watched, file=sys.stderr)\n"
+    )
+    argv = [*verb.split(), *operands.split(), "--format", "json"]
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *argv],
+        cwd=GOLDEN,
         capture_output=True,
         text=True,
-        check=True,
         env=child_env(),
     )
-    assert proc.stdout == "False\n"
+    exit_code, *loaded = proc.stderr.split()
+    assert exit_code == "0"
+    assert set(loaded) == expected
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("verb", ["der basis", "der h1"])
+def test_closed_stdout_exits_2_with_one_error_line(tmp_path, verb, unbuffered):
+    # With buffered stdout a short report would meet the closed pipe only
+    # in the flush at exit, as "Exception ignored" and exit 120.
+    fmt = "json" if verb == "der basis" else "text"
+    argv = [*verb.split(), chain_file(tmp_path, 6), "--format", fmt]
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fia.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: stdout was closed before the report was complete\n"
 
 
 def test_installed_entry_point(chain2_file):

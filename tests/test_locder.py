@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -435,6 +436,17 @@ def test_enumerate_matches_endomorphism_scan():
         assert report.s_loc == n_loc
         assert report.probes_checked == p ** (poset.npairs ** 2)
         assert report.verdict == ("confirmed" if agree else "REFUTED")
+
+
+def test_enumerate_walks_units_before_denser_probes():
+    # Der is zero on an antichain and the 18 units alone saturate the
+    # rank, but the digit order reaches the unit e_t only at probe 2^t.
+    antichain = parse_poset("elements: " + " ".join(f"a{t}" for t in range(18)))
+    start = time.perf_counter()
+    report = theorem_verify_enumerate(antichain, 2)
+    assert time.perf_counter() - start < 2
+    assert report.verdict == "confirmed"
+    assert report.s_der == report.s_loc == 1
 
 
 def test_local_dimension_equals_derivation_dimension():
