@@ -1,15 +1,30 @@
 """Exact Gaussian elimination over a coefficient field.
 
 Rows are sparse dicts mapping variable index to a nonzero raw value.
-add_row is the one elimination step: it grows an echelon basis by one
-row.  rref is add_row plus back substitution; nullspace and
-reduce_vector only read echelon rows.
+_eliminate is the one row step, row -= factor * pivot row with zeros
+dropped.  add_row grows an echelon basis by one row with it; rref is
+add_row plus back substitution with it; reduce_vector reduces a vector
+with it, and nullspace only reads echelon rows.
 Pivots always sit on the smallest variable present, so the reduced
 echelon form, the pivot set and the nullspace basis depend only on the
 row space and the variable order, never on the order rows arrive in.
 """
 
 from __future__ import annotations
+
+
+def _eliminate(row: dict, lead, pivot_row: dict, ring) -> None:
+    """row -= row[lead] * pivot_row in place, zeros dropped; pivot_row[lead] is 1."""
+    factor = row.pop(lead)
+    zero = ring.zero
+    for c, v in pivot_row.items():
+        if c == lead:
+            continue
+        nv = ring.sub(row.get(c, zero), ring.mul(factor, v))
+        if nv == zero:
+            row.pop(c, None)
+        else:
+            row[c] = nv
 
 
 def add_row(pivot_rows: dict[int, dict], incoming, ring) -> bool:
@@ -19,7 +34,6 @@ def add_row(pivot_rows: dict[int, dict], incoming, ring) -> bool:
     variable; returns whether it did, i.e. whether the rank grew.
     """
     row = dict(incoming)
-    zero = ring.zero
     while row:
         lead = min(row)
         piv = pivot_rows.get(lead)
@@ -27,15 +41,7 @@ def add_row(pivot_rows: dict[int, dict], incoming, ring) -> bool:
             inv = ring.inv(row[lead])
             pivot_rows[lead] = {c: ring.mul(v, inv) for c, v in row.items()}
             return True
-        factor = row.pop(lead)
-        for c, v in piv.items():
-            if c == lead:
-                continue
-            nv = ring.sub(row.get(c, zero), ring.mul(factor, v))
-            if nv == zero:
-                row.pop(c, None)
-            else:
-                row[c] = nv
+        _eliminate(row, lead, piv, ring)
     return False
 
 
@@ -46,22 +52,13 @@ def rref(rows, ring) -> dict[int, dict]:
     on its pivot and on free variables.
     """
     pivot_rows: dict[int, dict] = {}
-    zero = ring.zero
     for incoming in rows:
         add_row(pivot_rows, incoming, ring)
     # Back substitution: clear pivot columns out of earlier pivot rows.
     for lead in sorted(pivot_rows, reverse=True):
         row = pivot_rows[lead]
         for c in sorted(c for c in row if c != lead and c in pivot_rows):
-            factor = row.pop(c)
-            for c2, v2 in pivot_rows[c].items():
-                if c2 == c:
-                    continue
-                nv = ring.sub(row.get(c2, zero), ring.mul(factor, v2))
-                if nv == zero:
-                    row.pop(c2, None)
-                else:
-                    row[c2] = nv
+            _eliminate(row, c, pivot_rows[c], ring)
     return pivot_rows
 
 
@@ -90,17 +87,8 @@ def reduce_vector(vec: dict, pivot_rows: dict[int, dict], ring) -> dict:
     variable order: each is eliminated at its pivot in increasing pivot
     order, which leaves the other pivots of such rows untouched.
     """
-    zero = ring.zero
-    row = {c: v for c, v in vec.items() if v != zero}
+    row = {c: v for c, v in vec.items() if v != ring.zero}
     for lead in sorted(pivot_rows):
-        factor = row.get(lead)
-        if factor is None or factor == zero:
-            continue
-        for c, v in pivot_rows[lead].items():
-            nv = ring.sub(row.get(c, zero), ring.mul(factor, v))
-            if nv == zero:
-                row.pop(c, None)
-            else:
-                row[c] = nv
+        if lead in row:
+            _eliminate(row, lead, pivot_rows[lead], ring)
     return row
-

@@ -11,8 +11,8 @@ chunk.  Most reports are one canonical dump; der basis streams its maps
 straight from Der's sparse reduced rows, so it builds no map, no nested
 payload and no whole-output string.  Every check and cap runs before the
 first byte is written, so a refusal leaves the output empty.  A reader
-that closes stdout early gets one error line and exit 2, since the
-report was cut short.
+that closes stdout early, a full disk or any other stdout write error
+gets one error line and exit 2, since the report was cut short.
 
 Start-up is most of a short run, and with PYTHONDONTWRITEBYTECODE set
 every process compiles each fia module it imports, so a process loads
@@ -43,10 +43,6 @@ from .scalars import RingError, parse_ring
 BASIS_SCALAR_CAP = 1 << 23
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _read_poset(path):
     with open(path, encoding="utf-8") as handle:
         try:
@@ -56,7 +52,8 @@ def _read_poset(path):
     return parse_poset(text)
 
 
-def _read_endo(path, poset, ring_flag):
+def _read_endo(args):
+    poset, path = _read_poset(args.poset), args.map
     with open(path, encoding="utf-8") as handle:
         # Bad UTF-8, bad JSON syntax and integer literals longer than
         # int() converts raise ValueError; nesting deeper than the
@@ -66,9 +63,9 @@ def _read_endo(path, poset, ring_flag):
         except (ValueError, RecursionError) as exc:
             raise AlgebraError(f"{path} is not a readable map JSON: {exc}") from None
     d = deriv.endo_from_json(poset, obj)
-    if ring_flag is not None and parse_ring(ring_flag) != d.ring:
+    if args.ring is not None and parse_ring(args.ring) != d.ring:
         raise RingError(
-            f"--ring {ring_flag} disagrees with the map's ring"
+            f"--ring {args.ring} disagrees with the map's ring"
             f" {d.ring.designator()}"
         )
     return d
@@ -76,14 +73,15 @@ def _read_endo(path, poset, ring_flag):
 
 def _json(payload):
     """A report's JSON output: one chunk, dumped only when it is written."""
-    yield _canonical_json(payload)
+    yield deriv._canonical_json(payload) + "\n"
 
 
 def _emit(chunks, out_path):
     """Write an iterable of text chunks to stdout or to out_path.
 
-    A reader that closes stdout early cuts the report short, an IO error.
-    The flush raises it here for a report that still sits in the buffer.
+    A stdout that fails a write, closed early by its reader or full, cuts
+    the report short, an IO error.  The flush raises it here for a report
+    that still sits in the buffer.
     """
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -92,13 +90,15 @@ def _emit(chunks, out_path):
     try:
         sys.stdout.writelines(chunks)
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         # What is still buffered can never be written; with stdout on
         # devnull, the flush at exit cannot fail a second time.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        raise OSError("stdout was closed before the report was complete") from None
+        if isinstance(exc, BrokenPipeError):
+            raise OSError("stdout was closed before the report was complete") from None
+        raise
 
 
 def _lines(payload, *keys) -> list[str]:
@@ -142,14 +142,12 @@ def _cmd_der_basis(args):
 
 
 def _basis_json(poset, ring, payload):
-    """The canonical dump of payload plus its "basis" list, map by map.
-
-    "basis" sorts first, so the payload's own dump closes the list.
-    """
-    yield '{"basis":['
+    """The canonical dump of payload plus its "basis" list, map by map."""
+    head, tail = deriv._split_json(payload, "basis")
+    yield head
     for k, text in enumerate(deriv.derivation_basis_json(poset, ring)):
         yield "," + text if k else text
-    yield "]," + _canonical_json(payload)[1:]
+    yield tail + "\n"
 
 
 def _cmd_der_h1(args):
@@ -169,8 +167,7 @@ def _cmd_der_h1(args):
 
 
 def _cmd_der_decompose(args):
-    poset = _read_poset(args.poset)
-    d = _read_endo(args.map, poset, args.ring)
+    d = _read_endo(args)
     dec = deriv.decompose(d)
     payload = dec.to_json()
     lines = [
@@ -196,8 +193,7 @@ def _verdict_exit(verdict: str) -> int:
 def _cmd_locder_verify(args):
     from . import locder
 
-    poset = _read_poset(args.poset)
-    d = _read_endo(args.map, poset, args.ring)
+    d = _read_endo(args)
     if args.mode == "exhaustive":
         report = locder.check_local_exhaustive(d, probe_cap=args.probe_cap)
     else:
@@ -216,8 +212,7 @@ def _cmd_locder_verify(args):
 def _cmd_locder_lemmas(args):
     from . import locder
 
-    poset = _read_poset(args.poset)
-    d = _read_endo(args.map, poset, args.ring)
+    d = _read_endo(args)
     report = locder.lemma_conformance(d, seed=args.seed)
     payload = report.to_json()
     lines = [f"ring: {report.ring}"]
@@ -350,6 +345,8 @@ def run(argv) -> int:
         return 2 if exc.code else 0
     try:
         json_chunks, lines, code = args.handler(args)
+        text = (line + "\n" for line in lines)
+        _emit(json_chunks if args.format_ == "json" else text, args.out)
     except (
         PosetError,
         RingError,
@@ -357,13 +354,6 @@ def run(argv) -> int:
         CapExceededError,
         OSError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    text = (line + "\n" for line in lines)
-    chunks = json_chunks if args.format_ == "json" else text
-    try:
-        _emit(chunks, args.out)
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -27,6 +27,27 @@ from .poset import Poset
 from .scalars import CoeffRing, RingError, Scalar
 
 
+def _canonical_json(obj) -> str:
+    """The one canonical JSON text: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _split_json(obj: dict, key: str) -> tuple[str, str]:
+    """(head, tail) of obj's canonical text with a list at key, around its items."""
+    marker = _canonical_json(key) + ":["
+    head, tail = _canonical_json({**obj, key: []}).split(marker + "]")
+    return head + marker, "]" + tail
+
+
+def _dense_vector(poset: Poset, a: FiElement) -> list:
+    """The coefficients of a in canonical pair order."""
+    vec = [a.ring.zero] * poset.npairs
+    pos = poset.pair_pos
+    for pair, v in a.entries.items():
+        vec[pos(*pair)] = v
+    return vec
+
+
 class LinearEndo:
     """A ring-linear endomorphism of the incidence algebra, stored by columns."""
 
@@ -56,10 +77,7 @@ class LinearEndo:
             if img.poset != poset:
                 raise AlgebraError("image lives over a different poset")
             ring.check_same(img.ring)
-            col = [ring.zero] * n
-            for pair, v in img.entries.items():
-                col[poset.pair_pos(*pair)] = v
-            cols.append(col)
+            cols.append(_dense_vector(poset, img))
         return cls(poset, ring, cols)
 
     # -- application -----------------------------------------------------
@@ -303,13 +321,8 @@ def is_derivation(d: LinearEndo) -> bool:
     return next(off_diagonal, None) is None and is_cocycle(sigma)
 
 
-class Decomposition:
-    """d = (commutator with alpha) + (diagonal map of sigma), up to residual."""
-
-    def __init__(self, alpha: FiElement, sigma: FiElement, residual_norm: int):
-        self.alpha = alpha
-        self.sigma = sigma
-        self.residual_norm = residual_norm
+class _Report:
+    """Fields set by __init__ in declaration order; equal when all agree."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -318,7 +331,24 @@ class Decomposition:
 
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"Decomposition({fields})"
+        return f"{type(self).__name__}({fields})"
+
+    def to_json(self) -> dict:
+        """The fields that are set, in order; an element as its JSON."""
+        return {
+            name: value.to_json() if isinstance(value, FiElement) else value
+            for name, value in vars(self).items()
+            if value is not None
+        }
+
+
+class Decomposition(_Report):
+    """d = (commutator with alpha) + (diagonal map of sigma), up to residual."""
+
+    def __init__(self, alpha: FiElement, sigma: FiElement, residual_norm: int):
+        self.alpha = alpha
+        self.sigma = sigma
+        self.residual_norm = residual_norm
 
     def to_json(self) -> dict:
         return {
@@ -436,24 +466,20 @@ def derivation_basis_json(poset: Poset, ring: CoeffRing):
     """
     rows = _derivation_rref(poset, ring)
     n = poset.npairs
-
-    def dump(obj) -> str:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-    zero = dump(ring.scalar_to_json(ring.zero))
+    zero = _canonical_json(ring.scalar_to_json(ring.zero))
     zero_col = "[" + ",".join([zero] * n) + "]"
-    # "columns" sorts before "poset_hash" and "ring": the tail closes the
-    # column list and reuses the dump of the other two keys.
-    tail = "]," + dump({"poset_hash": poset.digest(), "ring": ring.designator()})[1:]
+    head, tail = _split_json(
+        {"poset_hash": poset.digest(), "ring": ring.designator()}, "columns"
+    )
     for lead in sorted(rows):
         cols = {}
         for var, v in rows[lead].items():
             c, r = divmod(var, n)
-            cols.setdefault(c, {})[r] = dump(ring.scalar_to_json(v))
+            cols.setdefault(c, {})[r] = _canonical_json(ring.scalar_to_json(v))
         texts = [zero_col] * n
         for c, col in cols.items():
             texts[c] = "[" + ",".join([col.get(r, zero) for r in range(n)]) + "]"
-        yield '{"columns":[' + ",".join(texts) + tail
+        yield head + ",".join(texts) + tail
 
 
 def inner_basis(poset: Poset, ring: CoeffRing) -> list[LinearEndo]:

@@ -27,6 +27,14 @@ def _check_compatible(a: "FiElement", b: "FiElement"):
     a.ring.check_same(b.ring)
 
 
+def _comparable(poset: Poset, x: str, y: str) -> tuple[int, int]:
+    """The index pair of the labels x <= y; raises if they are not comparable."""
+    i, j = poset.index(x), poset.index(y)
+    if not poset.leq_idx(i, j):
+        raise AlgebraError(f"pair ({x!r}, {y!r}) is not comparable")
+    return i, j
+
+
 class FiElement:
     """A sparse incidence-algebra element; entries keyed by index pairs."""
 
@@ -132,9 +140,7 @@ def element(poset: Poset, ring: CoeffRing, data=None) -> FiElement:
     entries = {}
     if data:
         for (x, y), value in data.items():
-            i, j = poset.index(x), poset.index(y)
-            if not poset.leq_idx(i, j):
-                raise AlgebraError(f"pair ({x!r}, {y!r}) is not comparable")
+            i, j = _comparable(poset, x, y)
             raw = ring.canonical(value)
             if raw != ring.zero:
                 entries[(i, j)] = raw
@@ -147,9 +153,7 @@ def zero(poset: Poset, ring: CoeffRing) -> FiElement:
 
 def unit(poset: Poset, ring: CoeffRing, x: str, y: str) -> FiElement:
     """The matrix unit e_xy, requiring x <= y."""
-    i, j = poset.index(x), poset.index(y)
-    if not poset.leq_idx(i, j):
-        raise AlgebraError(f"pair ({x!r}, {y!r}) is not comparable")
+    i, j = _comparable(poset, x, y)
     return FiElement(poset, ring, {(i, j): ring.one})
 
 
@@ -239,9 +243,7 @@ def restrict(a: FiElement, x: str, y: str) -> FiElement:
     dropped.  Linear in a and idempotent.
     """
     poset = a.poset
-    i, j = poset.index(x), poset.index(y)
-    if not poset.leq_idx(i, j):
-        raise AlgebraError(f"pair ({x!r}, {y!r}) is not comparable")
+    i, j = _comparable(poset, x, y)
     out = {}
     for z in poset.interval_idx(i, j):
         v = a.entries.get((i, z))
@@ -269,9 +271,7 @@ def element_from_json(poset: Poset, obj) -> FiElement:
         x, y = item["from"], item["to"]
         if not (isinstance(x, str) and isinstance(y, str)):
             raise AlgebraError(f"element labels must be strings, got {x!r}, {y!r}")
-        i, j = poset.index(x), poset.index(y)
-        if not poset.leq_idx(i, j):
-            raise AlgebraError(f"pair ({x!r}, {y!r}) is not comparable")
+        i, j = _comparable(poset, x, y)
         if (i, j) in entries:
             raise AlgebraError(f"duplicate entry for pair ({x!r}, {y!r})")
         raw = ring.scalar_from_json(item["value"])

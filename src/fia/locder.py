@@ -15,7 +15,7 @@ structured families (units, subset idempotents, the chain elements
 e_xy + e_yz - e_xz - e_y, seeded random elements) and never certifies.
 A family longer than the probe cap is refused; a derivation passes every
 probe without a scan, and any other map is scanned up to its first
-witness-less probe.
+witness-less probe, which the scan hands back with its index.
 
 The theorem harnesses compare Loc with Der, either by rank over a prime
 field (dim Loc against dim Der, which settles all p^(n^2) endomorphisms
@@ -30,12 +30,14 @@ table of named results, each computed by one predicate.
 from __future__ import annotations
 
 import random
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, product
 from math import comb
 
 from . import _linalg
 from .deriv import (
     LinearEndo,
+    _dense_vector,
+    _Report,
     decompose,
     derivation_basis,
     derivation_dimension,
@@ -45,7 +47,6 @@ from .deriv import (
 from .fialg import (
     CapExceededError,
     FiElement,
-    element,
     restrict,
     subset_idempotent,
     unit,
@@ -66,27 +67,6 @@ VERDICT_REJECTED = "rejected"
 VERDICT_INCONCLUSIVE = "inconclusive"
 VERDICT_CONFIRMED = "confirmed"
 VERDICT_REFUTED = "REFUTED"
-
-
-class _Report:
-    """Fields set by __init__ in declaration order; equal when all agree."""
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"{type(self).__name__}({fields})"
-
-    def to_json(self) -> dict:
-        """The fields that are set, in order; an element as its JSON."""
-        return {
-            name: value.to_json() if isinstance(value, FiElement) else value
-            for name, value in vars(self).items()
-            if value is not None
-        }
 
 
 class LocalCheckReport(_Report):
@@ -153,14 +133,6 @@ class TheoremReport(_Report):
 # -- witnesses -------------------------------------------------------------
 
 
-def _dense_vector(poset: Poset, a: FiElement):
-    vec = [a.ring.zero] * poset.npairs
-    pos = poset.pair_pos
-    for pair, v in a.entries.items():
-        vec[pos(*pair)] = v
-    return vec
-
-
 def _images(ring, maps_cols, vec, n):
     """The images of a dense probe a under each map, as sparse rows."""
     support = [(c, v) for c, v in enumerate(vec) if v]
@@ -192,6 +164,12 @@ def _residual(ring, basis_cols, d_cols, vec, n, tagged=False) -> dict:
     return _linalg.reduce_vector(target, w_a, ring)
 
 
+def _combination(poset, ring, coeffs, basis) -> LinearEndo:
+    """The map sum_k c_k b_k of raw coefficients c_k and maps b_k."""
+    terms = (b.scale(c) for c, b in zip(coeffs, basis) if c != ring.zero)
+    return sum(terms, LinearEndo.zero(poset, ring))
+
+
 def witness_for(d: LinearEndo, a: FiElement, der_basis) -> LinearEndo | None:
     """A derivation from the span of der_basis agreeing with d at a, if any."""
     ring = d.ring
@@ -200,23 +178,21 @@ def witness_for(d: LinearEndo, a: FiElement, der_basis) -> LinearEndo | None:
     rest = _residual(ring, basis_cols, d.cols, _dense_vector(d.poset, a), n, True)
     if any(var < n for var in rest):
         return None
-    witness = LinearEndo.zero(d.poset, ring)
-    for k, b in enumerate(der_basis):
-        if n + k in rest:
-            witness = witness + b.scale(ring.neg(rest[n + k]))
-    return witness
+    coeffs = [ring.neg(rest.get(n + k, ring.zero)) for k in range(len(der_basis))]
+    return _combination(d.poset, ring, coeffs, der_basis)
 
 
 # -- the probe scan ----------------------------------------------------------
 
 
 def _first_witnessless(d: LinearEndo, vectors):
-    """Index of the first dense probe vector with no witness, or None."""
-    ring, n = d.ring, d.poset.npairs
-    basis_cols = [b.cols for b in derivation_basis(d.poset, ring)]
+    """(index, probe) of the first dense probe vector with no witness, or None."""
+    poset, ring, n = d.poset, d.ring, d.poset.npairs
+    basis_cols = [b.cols for b in derivation_basis(poset, ring)]
     for index, vec in enumerate(vectors):
         if _residual(ring, basis_cols, d.cols, vec, n):
-            return index
+            entries = {pair: v for pair, v in zip(poset.ipairs, vec) if v}
+            return index, FiElement(poset, ring, entries)
     return None
 
 
@@ -242,31 +218,22 @@ def _check_local(d, derivation, mode, cap, seed=None):
     if mode == "exhaustive":
         p, n = ring.p, poset.npairs
         total, vectors = p**n, _digit_vectors(p, n)
-
-        def probe_at(index):
-            digits = next(islice(_digit_vectors(p, n), index, None))
-            entries = {pair: v for pair, v in zip(poset.ipairs, digits) if v}
-            return FiElement(poset, ring, entries)
-
     else:
         total = _spanning_count(poset)
         vectors = (_dense_vector(poset, a) for a in _spanning_probes(poset, ring, seed))
-
-        def probe_at(index):
-            return next(islice(_spanning_probes(poset, ring, seed), index, None))
-
     _refuse_over_cap(total, DEFAULT_PROBE_CAP if cap is None else cap, mode)
     designator = ring.designator()
     fail = None if derivation else _first_witnessless(d, vectors)
     if fail is None:
         verdict = VERDICT_LOCAL if mode == "exhaustive" else VERDICT_INCONCLUSIVE
         return LocalCheckReport(mode, verdict, total, designator, seed=seed)
+    index, probe = fail
     return LocalCheckReport(
         mode,
         VERDICT_REJECTED,
-        fail + 1,
+        index + 1,
         designator,
-        failing_probe=probe_at(fail),
+        failing_probe=probe,
         seed=seed,
     )
 
@@ -340,12 +307,13 @@ def _spanning_probes(poset, ring, seed):
                 yield _chain_probe(poset, ring, i, k, j)
     rng = random.Random(seed)
     for _ in range(SPANNING_RANDOM_PROBES):
-        entries = {}
-        for pair in poset.ipairs:
-            v = ring.sample(rng)
-            if v != ring.zero:
-                entries[pair] = v
-        yield FiElement(poset, ring, entries)
+        yield _random_element(poset, ring, rng)
+
+
+def _random_element(poset, ring, rng) -> FiElement:
+    """An element with one ring.sample(rng) per pair, in canonical order."""
+    values = ((pair, ring.sample(rng)) for pair in poset.ipairs)
+    return FiElement(poset, ring, {pair: v for pair, v in values if v != ring.zero})
 
 
 def check_local_spanning(
@@ -382,11 +350,6 @@ def lemma_conformance(d: LinearEndo, seed: int = 0) -> LemmaReport:
     pos = poset.pair_pos
     rng = random.Random(seed)
 
-    def sample():
-        return element(
-            poset, ring, {(els[i], els[j]): ring.sample(rng) for i, j in poset.ipairs}
-        )
-
     def corners_kept(a):
         return all(
             d.apply_coeff(a, x, y) == d.apply_coeff(restrict(a, x, y), x, y)
@@ -406,7 +369,10 @@ def lemma_conformance(d: LinearEndo, seed: int = 0) -> LemmaReport:
         return FiElement(poset, ring, entries)
 
     checks = {
-        "restriction": all(corners_kept(sample()) for _ in range(LEMMA_SAMPLES)),
+        "restriction": all(
+            corners_kept(_random_element(poset, ring, rng))
+            for _ in range(LEMMA_SAMPLES)
+        ),
     }
     masks = [rng.getrandbits(n) if n else 0 for _ in range(LEMMA_SAMPLES)]
     subsets = [
@@ -517,11 +483,6 @@ def theorem_verify_enumerate(
 # -- theorem harness: random campaigns --------------------------------------
 
 
-def _random_endo_cols(poset, ring, rng):
-    n = poset.npairs
-    return [[ring.sample(rng) for _ in range(n)] for _ in range(n)]
-
-
 def theorem_verify_random(
     poset: Poset,
     ring: CoeffRing,
@@ -553,20 +514,17 @@ def theorem_verify_random(
     basis = derivation_basis(poset, ring)
     rng = random.Random(seed)
 
-    der_samples = []
-    for _ in range(trials):
-        coeffs = [ring.sample(rng) for _ in basis]
-        d = LinearEndo.zero(poset, ring)
-        for c, b in zip(coeffs, basis):
-            if c != ring.zero:
-                d = d + b.scale(c)
-        der_samples.append(d)
+    der_samples = [
+        _combination(poset, ring, [ring.sample(rng) for _ in basis], basis)
+        for _ in range(trials)
+    ]
 
     non_samples = []
     if len(basis) < n * n:
         for _ in range(trials):
             for _ in range(64):
-                d = LinearEndo(poset, ring, _random_endo_cols(poset, ring, rng))
+                cols = [[ring.sample(rng) for _ in range(n)] for _ in range(n)]
+                d = LinearEndo(poset, ring, cols)
                 if not is_derivation(d):
                     non_samples.append(d)
                     break

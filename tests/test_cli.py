@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -552,31 +553,50 @@ def test_verb_loads_only_what_it_uses(verb):
     assert set(loaded) == expected
 
 
+NO_DEV_FULL = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="no /dev/full device"
+)
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("verb", ["der basis", "der h1"])
-def test_closed_stdout_exits_2_with_one_error_line(tmp_path, verb, unbuffered):
-    # With buffered stdout a short report would meet the closed pipe only
-    # in the flush at exit, as "Exception ignored" and exit 120.
+@pytest.mark.parametrize(
+    "verb, full",
+    [
+        pytest.param("der basis", False, id="der basis"),
+        pytest.param("der h1", False, id="der h1"),
+        pytest.param("der basis", True, id="der basis > /dev/full", marks=NO_DEV_FULL),
+        pytest.param("der h1", True, id="der h1 > /dev/full", marks=NO_DEV_FULL),
+    ],
+)
+def test_closed_stdout_exits_2_with_one_error_line(tmp_path, verb, full, unbuffered):
+    # Stdout is a pipe whose reader has gone or a device that is always
+    # full.  With buffered stdout a short report would meet the failing
+    # write only in the flush at exit, as "Exception ignored" and exit 120.
     fmt = "json" if verb == "der basis" else "text"
     argv = [*verb.split(), chain_file(tmp_path, 6), "--format", fmt]
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    if full:
+        stdout = os.open("/dev/full", os.O_WRONLY)
+        expected = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+        expected = "stdout was closed before the report was complete"
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "fia.cli", *argv],
-            stdout=write_end,
+            stdout=stdout,
             stderr=subprocess.PIPE,
             text=True,
             env=env,
         )
     finally:
-        os.close(write_end)
+        os.close(stdout)
     assert proc.returncode == 2
-    assert proc.stderr == "error: stdout was closed before the report was complete\n"
+    assert proc.stderr == f"error: {expected}\n"
 
 
 def test_installed_entry_point(chain2_file):

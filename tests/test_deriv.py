@@ -276,6 +276,27 @@ def test_h1_crown_has_outer_derivation():
     assert not in_span(d, rref(rows, QQ))
 
 
+def _span_by_enumeration(rows, nvars, p):
+    """Every combination of the sparse rows over GF(p), as dense tuples."""
+    dense = [[row.get(c, 0) for c in range(nvars)] for row in rows]
+    return {
+        tuple(sum(k * r[c] for k, r in zip(ks, dense)) % p for c in range(nvars))
+        for ks in itertools.product(range(p), repeat=len(rows))
+    }
+
+
+def _gf3_systems(count, seed):
+    """Seeded systems over GF(3): up to 5 sparse rows in up to 5 variables."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nvars = rng.randint(1, 5)
+        rows = []
+        for _ in range(rng.randint(0, 5)):
+            row = {c: rng.randint(1, 2) for c in range(nvars) if rng.random() < 0.6}
+            rows.append(row)
+        yield rows, nvars
+
+
 def test_add_row_counts_rank_and_matches_rref_pivots():
     rows = [{0: 2, 2: 1}, {0: 4, 2: 2}, {1: 3}, {0: 1, 1: 1, 2: 5}]
     pivots = {}
@@ -283,6 +304,33 @@ def test_add_row_counts_rank_and_matches_rref_pivots():
     assert grew == [True, False, True, True]
     assert set(pivots) == set(rref(rows, GF(7))) == {0, 1, 2}
     assert all(pivots[lead][lead] == 1 for lead in pivots)
+    # Against enumeration of GF(3)^k: a row raises the rank iff it is no
+    # combination of the rows before it; the pivots are the leading
+    # variables of the span; rref rows are one at their pivot and zero at
+    # every other; and a vector reduces to nothing, against rref rows or
+    # against add_row's echelon, iff it is a combination of the rows.
+    ring = GF(3)
+    for rows, nvars in _gf3_systems(80, seed=59):
+        span = _span_by_enumeration(rows, nvars, 3)
+        pivots = {}
+        for k, row in enumerate(rows):
+            new = tuple(row.get(c, 0) for c in range(nvars))
+            assert add_row(pivots, row, ring) == (
+                new not in _span_by_enumeration(rows[:k], nvars, 3)
+            )
+        reduced = rref(rows, ring)
+        leads = {min(c for c, v in enumerate(vec) if v) for vec in span if any(vec)}
+        assert set(pivots) == set(reduced) == leads
+        assert len(span) == 3 ** len(reduced)
+        for lead, row in reduced.items():
+            assert row[lead] == 1
+            assert not set(row) & (set(reduced) - {lead})
+            assert all(row.values())
+        for vec in itertools.product(range(3), repeat=nvars):
+            sparse = {c: v for c, v in enumerate(vec) if v}
+            for echelon in (reduced, pivots):
+                residual = reduce_vector(sparse, echelon, ring)
+                assert (not residual) == (vec in span)
 
 
 # -- cocycles -------------------------------------------------------------

@@ -13,7 +13,7 @@ from fia.deriv import (
     is_derivation,
     sigma_endo,
 )
-from fia.fialg import delta, element, unit, zero
+from fia.fialg import FiElement, delta, element, unit, zero
 from fia.locder import (
     CapExceededError,
     LocalCheckReport,
@@ -298,6 +298,56 @@ def test_spanning_derivation_report_matches_full_scan():
                 )
                 got = check_local_spanning(d, seed=seed)
                 assert got.to_json() == expected.to_json()
+
+
+def _non_derivations(poset, ring, rng):
+    """A random map and a derivation bumped at one entry, neither in Der."""
+    n = poset.npairs
+    basis = derivation_basis(poset, ring)
+    found = []
+    while len(found) < 2:
+        if found:
+            d = random_derivation(poset, ring, rng, basis)
+            d.cols[rng.randrange(n)][rng.randrange(n)] = ring.sample_nonzero(rng)
+        else:
+            d = LinearEndo(
+                poset, ring, [[ring.sample(rng) for _ in range(n)] for _ in range(n)]
+            )
+        if not is_derivation(d):
+            found.append(d)
+    return found
+
+
+def test_failing_probe_is_the_probe_at_probes_checked():
+    # The scan hands back the probe it failed at.  Rebuild that probe
+    # without the scan, from probes_checked alone: in exhaustive mode it
+    # has the base-p digits of probes_checked - 1, in spanning mode it is
+    # that entry of the family.  It must have no witness.
+    rng = random.Random(41)
+    indices = set()
+    # Every map on the empty poset is a derivation, so it is left out.
+    for poset in (*SMALL_POSETS[1:], DIAMOND, CROWN):
+        cases = [(ring, None) for ring in (GF(2), GF(3))]
+        cases += [(ring, seed) for ring in (QQ, GF(5)) for seed in (0, 7, 1 << 15)]
+        for ring, seed in cases:
+            for d in _non_derivations(poset, ring, rng):
+                if seed is None:
+                    report = check_local_exhaustive(d)
+                    index = report.probes_checked - 1
+                    digits = [index // ring.p**t % ring.p for t in range(poset.npairs)]
+                    entries = {pair: v for pair, v in zip(poset.ipairs, digits) if v}
+                    expected = FiElement(poset, ring, entries)
+                else:
+                    report = check_local_spanning(d, seed=seed)
+                    family = list(_spanning_probes(poset, ring, seed))
+                    expected = family[report.probes_checked - 1]
+                assert report.verdict == "rejected"
+                assert report.failing_probe == expected
+                basis = derivation_basis(poset, ring)
+                assert witness_for(d, report.failing_probe, basis) is None
+                indices.add(report.probes_checked)
+    # The scan stops at many different probes, not only the first ones.
+    assert len(indices) > 10
 
 
 def test_spanning_count_is_the_untruncated_family_length():
