@@ -46,7 +46,7 @@ def add_row(pivot_rows: dict[int, dict], incoming, ring) -> bool:
 
 
 def rref(rows, ring) -> dict[int, dict]:
-    """Reduce an iterable of sparse rows; returns {pivot var: row}.
+    """Reduce an iterable of sparse rows; returns {pivot var: row} in pivot order.
 
     Every returned row has coefficient one at its pivot and support only
     on its pivot and on free variables.
@@ -59,7 +59,7 @@ def rref(rows, ring) -> dict[int, dict]:
         row = pivot_rows[lead]
         for c in sorted(c for c in row if c != lead and c in pivot_rows):
             _eliminate(row, c, pivot_rows[c], ring)
-    return pivot_rows
+    return {lead: pivot_rows[lead] for lead in sorted(pivot_rows)}
 
 
 def nullspace(pivot_rows: dict[int, dict], nvars: int, ring) -> list[list]:

@@ -13,6 +13,8 @@ is_cocycle evaluates and _cocycle_basis eliminates.  The derivation space
 is the exact span of the commutator maps [e_xy, .] and of D_sigma over a
 cocycle basis, reduced once and cached as sparse rows; its basis, its
 dimension and h1 = dim Der - dim Inner come from that elimination.
+Those rows are the one form of Der that library paths read: a dense map
+is built from rows only by _endo_from_rows, for callers that get a map.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 from itertools import chain
 
 from . import _linalg
-from .fialg import AlgebraError, FiElement, convolve, unit
+from .fialg import AlgebraError, FiElement, _check_compatible, convolve, unit
 from .poset import Poset
 from .scalars import CoeffRing, RingError, Scalar
 
@@ -83,9 +85,7 @@ class LinearEndo:
     # -- application -----------------------------------------------------
 
     def apply(self, a: FiElement) -> FiElement:
-        if a.poset != self.poset:
-            raise AlgebraError("element lives over a different poset")
-        self.ring.check_same(a.ring)
+        _check_compatible(self, a)
         ring = self.ring
         n = self.poset.npairs
         pos = self.poset.pair_pos
@@ -117,9 +117,7 @@ class LinearEndo:
     def __add__(self, other):
         if not isinstance(other, LinearEndo):
             return NotImplemented
-        if self.poset != other.poset:
-            raise AlgebraError("endomorphisms live over different posets")
-        self.ring.check_same(other.ring)
+        _check_compatible(self, other)
         add = self.ring.add
         cols = [
             [add(a, b) for a, b in zip(ca, cb)]
@@ -414,7 +412,7 @@ def _derivation_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
     Der is spanned by the commutator maps and the D_sigma of a cocycle
     basis.  Each reduced row has a one on its pivot, its largest variable,
     and zeros on every other pivot, so the rows sorted by pivot are the
-    canonical nullspace-form basis of Der.  Keyed by pivot.
+    canonical nullspace-form basis of Der.  Keyed by pivot, in pivot order.
     """
     _require_field(ring)
     n = poset.npairs
@@ -429,7 +427,7 @@ def _derivation_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
     )
     return {
         last - lead: {last - var: v for var, v in row.items()}
-        for lead, row in flipped.items()
+        for lead, row in reversed(flipped.items())
     }
 
 
@@ -439,17 +437,25 @@ def _inner_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
     return _linalg.rref(_commutator_rows(poset, ring), ring)
 
 
+def _endo_from_rows(poset: Poset, ring: CoeffRing, terms) -> LinearEndo:
+    """The map sum_k c_k row_k of raw c_k and sparse rows {c*N + r: value}."""
+    n = poset.npairs
+    cols = [[ring.zero] * n for _ in range(n)]
+    for coeff, row in terms:
+        for var, v in row.items():
+            c, r = divmod(var, n)
+            cols[c][r] = ring.add(cols[c][r], ring.mul(coeff, v))
+    return LinearEndo(poset, ring, cols)
+
+
+def _endo_row(m: LinearEndo) -> dict:
+    """A map as the one sparse row {c*N + r: value} that _endo_from_rows reads."""
+    return {var: v for var, v in enumerate(chain.from_iterable(m.cols)) if v}
+
+
 def _dense_basis(poset: Poset, ring: CoeffRing, rows: dict[int, dict]):
     """Reduced rows {pivot: {c*N + r: value}} as maps, in pivot order."""
-    n = poset.npairs
-    basis = []
-    for lead in sorted(rows):
-        cols = [[ring.zero] * n for _ in range(n)]
-        for var, v in rows[lead].items():
-            c, r = divmod(var, n)
-            cols[c][r] = v
-        basis.append(LinearEndo(poset, ring, cols))
-    return basis
+    return [_endo_from_rows(poset, ring, [(ring.one, row)]) for row in rows.values()]
 
 
 def derivation_basis(poset: Poset, ring: CoeffRing) -> list[LinearEndo]:
@@ -471,9 +477,9 @@ def derivation_basis_json(poset: Poset, ring: CoeffRing):
     head, tail = _split_json(
         {"poset_hash": poset.digest(), "ring": ring.designator()}, "columns"
     )
-    for lead in sorted(rows):
+    for row in rows.values():
         cols = {}
-        for var, v in rows[lead].items():
+        for var, v in row.items():
             c, r = divmod(var, n)
             cols.setdefault(c, {})[r] = _canonical_json(ring.scalar_to_json(v))
         texts = [zero_col] * n

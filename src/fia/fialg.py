@@ -21,9 +21,10 @@ class CapExceededError(ValueError):
     """The requested enumeration is larger than the configured cap."""
 
 
-def _check_compatible(a: "FiElement", b: "FiElement"):
+def _check_compatible(a, b):
+    """Raise unless the operands (elements or maps) share poset and ring."""
     if a.poset != b.poset:
-        raise AlgebraError("elements live over different posets")
+        raise AlgebraError("operands live over different posets")
     a.ring.check_same(b.ring)
 
 

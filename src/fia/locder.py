@@ -2,9 +2,10 @@
 
 A linear map d is a local derivation when every element a has a
 derivation witness agreeing with d there, i.e. d(a) lies in the subspace
-W_a = {D(a) : D a derivation}.  _images forms the D_k(a) for a basis D_k
-of Der; the witness test reduces d(a) against their echelon basis,
-witness_for reads a combination off the same elimination, and
+W_a = {D(a) : D a derivation}.  _images forms the D_k(a) straight from
+Der's cached sparse rows D_k, and d(a) from d as one such row; the
+witness test reduces d(a) against their echelon basis, witness_for reads
+a combination of its caller's maps off the same elimination, and
 local_dimension takes their annihilators.  The condition is linear in d,
 so the local derivations form a subspace Loc containing the derivations
 Der.
@@ -37,9 +38,11 @@ from . import _linalg
 from .deriv import (
     LinearEndo,
     _dense_vector,
+    _derivation_rref,
+    _endo_from_rows,
+    _endo_row,
     _Report,
     decompose,
-    derivation_basis,
     derivation_dimension,
     idempotent_identity_check,
     is_derivation,
@@ -47,6 +50,7 @@ from .deriv import (
 from .fialg import (
     CapExceededError,
     FiElement,
+    _check_compatible,
     restrict,
     subset_idempotent,
     unit,
@@ -133,28 +137,28 @@ class TheoremReport(_Report):
 # -- witnesses -------------------------------------------------------------
 
 
-def _images(ring, maps_cols, vec, n):
-    """The images of a dense probe a under each map, as sparse rows."""
-    support = [(c, v) for c, v in enumerate(vec) if v]
+def _images(ring, rows, vec, n):
+    """The images of a dense probe under maps given as sparse rows, zeros dropped."""
     add, mul, zero = ring.add, ring.mul, ring.zero
-    for cols in maps_cols:
-        out = [zero] * n
-        for c, v in support:
-            for r, w in enumerate(cols[c]):
-                if w:
-                    out[r] = add(out[r], mul(v, w))
-        yield {r: w for r, w in enumerate(out) if w}
+    for row in rows:
+        out = {}
+        for var, w in row.items():
+            c, r = divmod(var, n)
+            v = vec[c]
+            if v:
+                out[r] = add(out.get(r, zero), mul(v, w))
+        yield {r: w for r, w in out.items() if w}
 
 
-def _residual(ring, basis_cols, d_cols, vec, n, tagged=False) -> dict:
+def _residual(ring, rows, vec, n, tagged=False) -> dict:
     """d(a) reduced against an echelon basis of W_a = span{D_k(a)}.
 
-    d(a) lies in W_a iff no variable below n is left.  When tagged, image
-    k carries one more variable n + k with coefficient one, so the tags
-    left over are minus the coefficients of a combination of the D_k(a)
-    equal to d(a).
+    The rows are those of d and then of the D_k.  d(a) lies in W_a iff
+    no variable below n is left.  When tagged, image k carries one more
+    variable n + k with coefficient one, so the tags left over are minus
+    the coefficients of a combination of the D_k(a) equal to d(a).
     """
-    images = _images(ring, [d_cols, *basis_cols], vec, n)
+    images = _images(ring, rows, vec, n)
     target = next(images)
     w_a: dict[int, dict] = {}
     for k, img in enumerate(images):
@@ -164,22 +168,17 @@ def _residual(ring, basis_cols, d_cols, vec, n, tagged=False) -> dict:
     return _linalg.reduce_vector(target, w_a, ring)
 
 
-def _combination(poset, ring, coeffs, basis) -> LinearEndo:
-    """The map sum_k c_k b_k of raw coefficients c_k and maps b_k."""
-    terms = (b.scale(c) for c, b in zip(coeffs, basis) if c != ring.zero)
-    return sum(terms, LinearEndo.zero(poset, ring))
-
-
 def witness_for(d: LinearEndo, a: FiElement, der_basis) -> LinearEndo | None:
     """A derivation from the span of der_basis agreeing with d at a, if any."""
-    ring = d.ring
-    n = d.poset.npairs
-    basis_cols = [b.cols for b in der_basis]
-    rest = _residual(ring, basis_cols, d.cols, _dense_vector(d.poset, a), n, True)
+    poset, ring, n = d.poset, d.ring, d.poset.npairs
+    for operand in (a, *der_basis):
+        _check_compatible(d, operand)
+    rows = [_endo_row(m) for m in (d, *der_basis)]
+    rest = _residual(ring, rows, _dense_vector(poset, a), n, True)
     if any(var < n for var in rest):
         return None
-    coeffs = [ring.neg(rest.get(n + k, ring.zero)) for k in range(len(der_basis))]
-    return _combination(d.poset, ring, coeffs, der_basis)
+    coeffs = (ring.neg(rest.get(n + k, ring.zero)) for k in range(len(der_basis)))
+    return _endo_from_rows(poset, ring, zip(coeffs, rows[1:]))
 
 
 # -- the probe scan ----------------------------------------------------------
@@ -188,9 +187,9 @@ def witness_for(d: LinearEndo, a: FiElement, der_basis) -> LinearEndo | None:
 def _first_witnessless(d: LinearEndo, vectors):
     """(index, probe) of the first dense probe vector with no witness, or None."""
     poset, ring, n = d.poset, d.ring, d.poset.npairs
-    basis_cols = [b.cols for b in derivation_basis(poset, ring)]
+    rows = [_endo_row(d), *_derivation_rref(poset, ring).values()]
     for index, vec in enumerate(vectors):
-        if _residual(ring, basis_cols, d.cols, vec, n):
+        if _residual(ring, rows, vec, n):
             entries = {pair: v for pair, v in zip(poset.ipairs, vec) if v}
             return index, FiElement(poset, ring, entries)
     return None
@@ -437,14 +436,14 @@ def local_dimension(poset: Poset, ring: CoeffRing) -> int:
         raise RingError("the local-derivation space needs a zp ring")
     n = poset.npairs
     p = ring.p
-    basis_cols = [b.cols for b in derivation_basis(poset, ring)]
-    saturated = n * n - len(basis_cols)
+    der_rows = _derivation_rref(poset, ring).values()
+    saturated = n * n - len(der_rows)
     pivots: dict[int, dict] = {}
     rank = 0
     for digits in _vectors_by_support(p, n):
         if rank == saturated:
             break
-        w_a = _linalg.rref(_images(ring, basis_cols, digits, n), ring)
+        w_a = _linalg.rref(_images(ring, der_rows, digits, n), ring)
         for y in _linalg.nullspace(w_a, n, ring):
             row = {
                 c * n + r: ring.mul(a, v)
@@ -511,16 +510,16 @@ def theorem_verify_random(
     mode = "exhaustive" if ring.kind == "zp" and ring.p**n <= cap else "spanning"
     if mode == "spanning":
         _refuse_over_cap(_spanning_count(poset), cap, mode)
-    basis = derivation_basis(poset, ring)
+    der_rows = _derivation_rref(poset, ring).values()
     rng = random.Random(seed)
 
     der_samples = [
-        _combination(poset, ring, [ring.sample(rng) for _ in basis], basis)
+        _endo_from_rows(poset, ring, [(ring.sample(rng), row) for row in der_rows])
         for _ in range(trials)
     ]
 
     non_samples = []
-    if len(basis) < n * n:
+    if len(der_rows) < n * n:
         for _ in range(trials):
             for _ in range(64):
                 cols = [[ring.sample(rng) for _ in range(n)] for _ in range(n)]

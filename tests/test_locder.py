@@ -1,19 +1,23 @@
+import copy
 import itertools
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from fia import locder
 from fia.deriv import (
     LinearEndo,
+    _derivation_rref,
     derivation_basis,
     inner,
+    inner_basis,
     is_derivation,
     sigma_endo,
 )
-from fia.fialg import FiElement, delta, element, unit, zero
+from fia.fialg import AlgebraError, FiElement, delta, element, unit, zero
 from fia.locder import (
     CapExceededError,
     LocalCheckReport,
@@ -30,7 +34,7 @@ from fia.locder import (
     witness_for,
 )
 from fia.poset import parse_poset, random_poset
-from fia.scalars import GF, QQ, ZZ, RingError
+from fia.scalars import GF, QQ, ZZ, RingError, RingMismatchError
 
 from helpers import (
     ANTICHAIN2,
@@ -109,12 +113,15 @@ def test_witness_none_at_chain_probe():
 
 def test_witness_for_against_enumeration_over_gf3():
     # Solver-free oracle: every coefficient vector c in GF(3)^dim is tried
-    # by hand, through LinearEndo.apply only.
+    # by hand, through LinearEndo.apply only.  A witness is a combination
+    # of the caller's maps, so two bases spanning less than Der are tried
+    # too, and each basis must meet both answers.
     ring = GF(3)
     rng = random.Random(41)
-    outcomes = set()
+    outcomes = {"der": set(), "inner": set(), "der[:-1]": set()}
     for poset in (CHAIN2, CHAIN3, ANTICHAIN2):
-        basis = derivation_basis(poset, ring)
+        der = derivation_basis(poset, ring)
+        bases = {"der": der, "inner": inner_basis(poset, ring), "der[:-1]": der[:-1]}
         n = poset.npairs
         for _ in range(30):
             cols = [
@@ -124,22 +131,74 @@ def test_witness_for_against_enumeration_over_gf3():
             d = LinearEndo(poset, ring, cols)
             a = random_element(poset, ring, rng, fill=0.5)
             target = d.apply(a)
-            images = [b.apply(a) for b in basis]
-            solvable = False
-            for c in itertools.product(range(3), repeat=len(basis)):
-                combo = zero(poset, ring)
-                for ck, img in zip(c, images):
-                    combo = combo + img.scale(ck)
-                if combo == target:
-                    solvable = True
-                    break
-            w = witness_for(d, a, basis)
-            assert (w is None) == (not solvable)
-            outcomes.add(solvable)
-            if w is not None:
-                assert leibniz_on_units(w)
-                assert w.apply(a) == target
-    assert outcomes == {True, False}
+            for name, basis in bases.items():
+                images = [b.apply(a) for b in basis]
+                solvable = False
+                for c in itertools.product(range(3), repeat=len(basis)):
+                    combo = zero(poset, ring)
+                    for ck, img in zip(c, images):
+                        combo = combo + img.scale(ck)
+                    if combo == target:
+                        solvable = True
+                        break
+                w = witness_for(d, a, basis)
+                assert (w is None) == (not solvable)
+                outcomes[name].add(solvable)
+                if w is not None:
+                    assert leibniz_on_units(w)
+                    assert w.apply(a) == target
+    assert all(seen == {True, False} for seen in outcomes.values())
+
+
+def test_witness_for_checks_its_operands():
+    # As LinearEndo.apply does: an element or a basis map over another
+    # poset is an AlgebraError, over another ring a RingMismatchError.
+    ring = GF(3)
+    other = parse_poset("elements: x y\nx < y\n")
+    d = LinearEndo.zero(CHAIN2, ring)
+    basis = derivation_basis(CHAIN2, ring)
+    e_ab = unit(CHAIN2, ring, "a", "b")
+    with pytest.raises(AlgebraError, match="different poset"):
+        witness_for(d, unit(other, ring, "x", "y"), basis)
+    with pytest.raises(AlgebraError, match="different poset"):
+        witness_for(d, e_ab, derivation_basis(other, ring))
+    half = element(CHAIN2, QQ, {("a", "b"): Fraction(1, 2)})
+    with pytest.raises(RingMismatchError):
+        witness_for(d, half, basis)
+    with pytest.raises(RingMismatchError):
+        witness_for(d, e_ab, derivation_basis(CHAIN2, QQ))
+
+
+def test_local_checks_read_der_from_its_cached_rows(monkeypatch):
+    # Der is read from deriv's cached sparse rows and never densified:
+    # the local checks and local_dimension build no map at all, and a
+    # campaign builds one map per sample.  The cached rows stay as they
+    # were.
+    ring = GF(3)
+    d = sigma_endo(element(CHAIN3, ring, NON_COCYCLE_CHAIN3))
+    assert not is_derivation(d)
+    before = {
+        r: copy.deepcopy(_derivation_rref(CHAIN3, r)) for r in (ring, GF(2), QQ)
+    }
+    built = []
+    init = LinearEndo.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(LinearEndo, "__init__", counting)
+    assert check_local_exhaustive(d).verdict == "rejected"
+    assert check_local_spanning(d, seed=3).verdict == "rejected"
+    assert local_dimension(CHAIN3, GF(2)) == len(before[GF(2)])
+    assert built == []
+    report = theorem_verify_random(CHAIN3, QQ, trials=6, seed=2)
+    assert report.verdict == "confirmed"
+    # Six derivation samples and six non-derivations: no random q map is
+    # a derivation, so no non-sample is drawn twice.
+    assert len(built) == 12
+    for r, rows in before.items():
+        assert _derivation_rref(CHAIN3, r) == rows
 
 
 # -- exhaustive probing ------------------------------------------------------
