@@ -1,6 +1,6 @@
 """Exact incidence-algebra toolkit for finite posets.
 
-Builds the algebra of interval functions over Q, Z or a prime field,
+Builds the algebra of interval functions over Q or a prime field,
 studies its derivations (Leibniz maps, inner maps, diagonal maps from
 additive-on-chains data) and checks, by exhaustive or sampled probing,
 that maps which look like derivations pointwise really are derivations.
@@ -75,7 +75,7 @@ _HOMES = {
         "poset",
     ),
     **dict.fromkeys(
-        ("GF", "QQ", "ZZ", "CoeffRing", "RingError", "Scalar", "parse_ring"),
+        ("GF", "QQ", "CoeffRing", "RingError", "Scalar", "parse_ring"),
         "scalars",
     ),
 }

@@ -26,7 +26,7 @@ from itertools import chain
 from . import _linalg
 from .fialg import AlgebraError, FiElement, _check_compatible, convolve, unit
 from .poset import Poset
-from .scalars import CoeffRing, RingError, Scalar
+from .scalars import CoeffRing, Scalar
 
 
 def _canonical_json(obj) -> str:
@@ -369,13 +369,6 @@ def decompose(d: LinearEndo) -> Decomposition:
 # -- the derivation space ------------------------------------------------
 
 
-def _require_field(ring: CoeffRing):
-    if not ring.is_field():
-        raise RingError(
-            f"nullspace computations need a field, not {ring.designator()}"
-        )
-
-
 def _commutator_rows(poset: Poset, ring: CoeffRing):
     """The maps [e_xy, .] as sparse rows {c*N + r: value}, zero ones skipped.
 
@@ -414,7 +407,6 @@ def _derivation_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
     and zeros on every other pivot, so the rows sorted by pivot are the
     canonical nullspace-form basis of Der.  Keyed by pivot, in pivot order.
     """
-    _require_field(ring)
     n = poset.npairs
     last = n * n - 1
     diagonal_maps = (
@@ -433,7 +425,6 @@ def _derivation_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
 
 @lru_cache(maxsize=64)
 def _inner_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
-    _require_field(ring)
     return _linalg.rref(_commutator_rows(poset, ring), ring)
 
 

@@ -1,10 +1,10 @@
-"""Exact coefficient rings: the rationals, the integers, and prime fields.
+"""Exact coefficient fields: the rationals and prime fields.
 
-Ring designators are "q", "z" and "zp:<p>".  Values are kept canonical so
+Ring designators are "q" and "zp:<p>".  Values are kept canonical so
 that equality is structural: fractions are reduced with positive
 denominator, prime-field residues lie in [0, p).  A CoeffRing does the
-arithmetic on raw values (Fraction for q, int for z and zp); Scalar pairs
-a raw value with its ring for use at API boundaries.
+arithmetic on raw values (Fraction for q, int for zp); Scalar pairs a
+raw value with its ring for use at API boundaries.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ _Q_ONE = Fraction(1)
 
 
 class RingError(ValueError):
-    """Request a ring cannot satisfy (bad designator, no inverses, ...)."""
+    """Request a ring cannot satisfy (bad designator, foreign value, ...)."""
 
 
 class RingMismatchError(RingError):
@@ -51,7 +51,7 @@ class CoeffRing:
     __slots__ = ("kind", "p")
 
     def __init__(self, kind: str, p: int | None = None):
-        if kind not in ("q", "z", "zp"):
+        if kind not in ("q", "zp"):
             raise RingError(f"unknown ring kind {kind!r}")
         if kind == "zp":
             if not isinstance(p, int) or not 2 <= p < MAX_MODULUS:
@@ -69,9 +69,6 @@ class CoeffRing:
         if self.kind == "zp":
             return f"zp:{self.p}"
         return self.kind
-
-    def is_field(self) -> bool:
-        return self.kind in ("q", "zp")
 
     def __eq__(self, other):
         return (
@@ -105,8 +102,6 @@ class CoeffRing:
     def from_int(self, n: int):
         if self.kind == "q":
             return Fraction(n)
-        if self.kind == "z":
-            return int(n)
         return n % self.p
 
     def canonical(self, value):
@@ -121,8 +116,6 @@ class CoeffRing:
         if isinstance(value, Fraction):
             if self.kind == "q":
                 return value
-            if self.kind == "z" and value.denominator == 1:
-                return value.numerator
             raise RingError(
                 f"{value!r} is not a value of ring {self.designator()}"
             )
@@ -149,8 +142,6 @@ class CoeffRing:
         return a * b
 
     def inv(self, a):
-        if self.kind == "z":
-            raise RingError("the integers are not a field; no inverses")
         if self.kind == "q":
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
@@ -168,8 +159,6 @@ class CoeffRing:
         """Draw a small raw value, deterministically from the given rng."""
         if self.kind == "q":
             return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        if self.kind == "z":
-            return rng.randint(-9, 9)
         return rng.randrange(self.p)
 
     def sample_nonzero(self, rng):
@@ -183,8 +172,6 @@ class CoeffRing:
     def scalar_to_json(self, raw):
         if self.kind == "q":
             return {"num": str(raw.numerator), "den": str(raw.denominator)}
-        if self.kind == "z":
-            return {"int": str(raw)}
         return {"res": raw}
 
     def scalar_from_json(self, obj):
@@ -199,10 +186,6 @@ class CoeffRing:
             if den < 1:
                 raise RingError("denominator must be a positive decimal")
             return Fraction(num, den)
-        if self.kind == "z":
-            if set(obj) != {"int"}:
-                raise RingError(f"integer scalar needs int, got {obj!r}")
-            return _json_integer(obj["int"], "integer")
         if set(obj) != {"res"}:
             raise RingError(f"residue scalar needs res, got {obj!r}")
         res = obj["res"]
@@ -229,7 +212,6 @@ def _json_integer(value, what: str) -> int:
 
 
 QQ = CoeffRing("q")
-ZZ = CoeffRing("z")
 
 _gf_cache: dict[int, CoeffRing] = {}
 
@@ -242,13 +224,11 @@ def GF(p: int) -> CoeffRing:
 
 
 def parse_ring(designator: str) -> CoeffRing:
-    """Parse a ring designator: "q", "z" or "zp:<p>"."""
+    """Parse a ring designator: "q" or "zp:<p>"."""
     if not isinstance(designator, str):
         raise RingError(f"ring designator must be a string, got {designator!r}")
     if designator == "q":
         return QQ
-    if designator == "z":
-        return ZZ
     if designator.startswith("zp:"):
         # Only the designator GF(p) prints: ASCII digits with no sign,
         # space, underscore or leading zero, all of which int() allows.

@@ -41,7 +41,7 @@ from fia.locder import (
     theorem_verify_enumerate,
 )
 from fia.poset import Poset, random_poset
-from fia.scalars import GF, QQ, ZZ
+from fia.scalars import GF, QQ
 
 from helpers import (
     ANTICHAIN2,
@@ -422,13 +422,13 @@ def _convolution_oracle(a, b):
 
 
 def criterion_7():
-    rings = (QQ, ZZ, GF(5), GF(2))
+    rings = (QQ, GF(5), GF(2))
     trace = []
     failures = 0
     for k in range(100):
         rng = random.Random(71_000 + k)
         poset = random_poset(rng.randint(1, 6), rng.random(), 72_000 + k)
-        ring = rings[k % 4]
+        ring = rings[k % len(rings)]
         els = poset.elements
         a = random_element(poset, ring, rng)
         b = random_element(poset, ring, rng)

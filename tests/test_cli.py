@@ -137,7 +137,31 @@ def test_der_basis_ring_flag(capsys, chain2_file):
 
 def test_der_basis_z_is_exit_2(capsys, chain2_file):
     assert run(["der", "basis", chain2_file, "--ring", "z"]) == 2
-    assert "field" in capsys.readouterr().err
+    assert "unknown ring designator 'z'" in capsys.readouterr().err
+
+
+def test_z_is_refused_where_ring_input_enters(
+    capsys, tmp_path, chain3_file, good_map_file
+):
+    # Every ring is a field; z is refused as a designator, on --ring and
+    # in a map's JSON alike, before any verb runs.
+    obj = json.loads(Path(good_map_file).read_text())
+    z_map = write_json(tmp_path, "z.json", {**obj, "ring": "z"})
+    cases = [
+        ["der", "basis", chain3_file, "--ring", "z"],
+        ["der", "h1", chain3_file, "--ring", "z"],
+        ["theorem", "enumerate", chain3_file, "--ring", "z"],
+        ["theorem", "random", chain3_file, "--ring", "z"],
+        ["der", "decompose", chain3_file, z_map],
+        ["locder", "verify", chain3_file, z_map],
+        ["locder", "verify", chain3_file, z_map, "--mode", "spanning"],
+        ["locder", "lemmas", chain3_file, z_map],
+    ]
+    for argv in cases:
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == "error: unknown ring designator 'z'\n", argv
 
 
 def test_non_canonical_modulus_is_exit_2(capsys, chain2_file):
@@ -334,7 +358,7 @@ def test_der_basis_json_memory_stays_flat(tmp_path):
 
 
 def test_der_basis_refusals_write_nothing(capsys, tmp_path, chain3_file):
-    # Not a field, a basis above the cap (299 maps of 300^2 scalars on the
+    # An unknown ring, a basis above the cap (299 maps of 300^2 scalars on the
     # 24-chain) and an unwritable --out are all refused before any output.
     cases = [
         ["der", "basis", chain3_file, "--ring", "z"],

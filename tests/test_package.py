@@ -31,6 +31,10 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         fia.no_such_name
     assert not hasattr(fia, "no_such_name")
+    # Every ring is a field, so there is no ZZ.
+    with pytest.raises(AttributeError, match="ZZ"):
+        fia.ZZ
+    assert "ZZ" not in fia.__all__
 
 
 def test_bare_import_loads_no_submodule():

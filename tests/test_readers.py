@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fia.deriv import endo_from_json
 from fia.fialg import AlgebraError, element_from_json
 from fia.poset import PosetError, parse_poset
-from fia.scalars import GF, QQ, ZZ, RingError
+from fia.scalars import GF, QQ, RingError
 
 from helpers import CHAIN2
 
@@ -69,7 +69,7 @@ def test_parse_poset_raises_only_poset_errors(lines):
 
 
 @READER_SETTINGS
-@given(st.sampled_from([QQ, ZZ, GF(5)]), scalar_like)
+@given(st.sampled_from([QQ, GF(5)]), scalar_like)
 def test_scalar_from_json_raises_only_ring_errors(ring, obj):
     _raises_only(RingError, ring.scalar_from_json, obj)
 

@@ -6,7 +6,6 @@ import pytest
 from fia.scalars import (
     GF,
     QQ,
-    ZZ,
     CoeffRing,
     RingError,
     RingMismatchError,
@@ -17,7 +16,7 @@ from fia.scalars import (
 
 
 def test_designators_round_trip():
-    for text in ("q", "z", "zp:2", "zp:5", "zp:97"):
+    for text in ("q", "zp:2", "zp:5", "zp:97"):
         assert parse_ring(text).designator() == text
 
 
@@ -53,12 +52,6 @@ def test_ring_constructor_validation():
         CoeffRing("zp", 1 << 31)
 
 
-def test_field_flags():
-    assert QQ.is_field()
-    assert GF(3).is_field()
-    assert not ZZ.is_field()
-
-
 def test_zp_arithmetic_is_modular():
     F5 = GF(5)
     assert F5.add(3, 4) == 2
@@ -76,9 +69,12 @@ def test_q_arithmetic_uses_fractions():
     assert QQ.inv(half) == 2
 
 
-def test_z_has_no_inverses():
+def test_z_is_refused():
+    # Every ring is a field: the integers are no ring kind or designator.
+    with pytest.raises(RingError, match="unknown ring designator 'z'"):
+        parse_ring("z")
     with pytest.raises(RingError):
-        ZZ.inv(2)
+        CoeffRing("z")
 
 
 def test_inverse_of_zero_raises():
@@ -93,7 +89,7 @@ def test_inverse_of_zero_raises():
 def test_canonical_accepts_ints_fractions_scalars():
     assert GF(5).canonical(7) == 2
     assert GF(5).canonical(-1) == 4
-    assert ZZ.canonical(Fraction(6, 2)) == 3
+    assert QQ.canonical(Fraction(6, 4)) == Fraction(3, 2)
     assert QQ.canonical(2) == Fraction(2)
     s = Scalar(QQ, Fraction(1, 3))
     assert QQ.canonical(s) == Fraction(1, 3)
@@ -103,7 +99,7 @@ def test_canonical_rejects_foreign_values():
     with pytest.raises(RingError):
         QQ.canonical(True)
     with pytest.raises(RingError):
-        ZZ.canonical(Fraction(1, 2))
+        GF(5).canonical(Fraction(1, 2))
     with pytest.raises(RingError):
         QQ.canonical(0.5)
     with pytest.raises(RingMismatchError):
@@ -167,13 +163,12 @@ def test_scalar_eq_and_hash():
 
 def test_scalar_json_shapes():
     assert Scalar(QQ, Fraction(-3, 4)).to_json() == {"num": "-3", "den": "4"}
-    assert Scalar(ZZ, -7).to_json() == {"int": "-7"}
     assert Scalar(GF(5), 9).to_json() == {"res": 4}
 
 
 def test_scalar_json_round_trip():
     rng = random.Random(23)
-    for ring in (QQ, ZZ, GF(2), GF(13)):
+    for ring in (QQ, GF(2), GF(13)):
         for _ in range(30):
             raw = ring.sample(rng)
             assert ring.scalar_from_json(ring.scalar_to_json(raw)) == raw
@@ -187,7 +182,9 @@ def test_scalar_from_json_validation():
     with pytest.raises(RingError):
         QQ.scalar_from_json({"num": "1", "den": "-2"})
     with pytest.raises(RingError):
-        ZZ.scalar_from_json({"res": 1})
+        QQ.scalar_from_json({"res": 1})
+    with pytest.raises(RingError):
+        GF(5).scalar_from_json({"int": "1"})
     with pytest.raises(RingError):
         GF(5).scalar_from_json({"res": 5})
     with pytest.raises(RingError):
@@ -203,12 +200,12 @@ def test_scalar_from_json_rejects_non_decimal_string():
         QQ.scalar_from_json({"num": "x", "den": "2"})
     with pytest.raises(RingError, match="denominator"):
         QQ.scalar_from_json({"num": "1", "den": "1.5"})
-    with pytest.raises(RingError, match="integer"):
-        ZZ.scalar_from_json({"int": " 7"})
-    with pytest.raises(RingError, match="integer"):
-        ZZ.scalar_from_json({"int": "9" * 5000})
+    with pytest.raises(RingError, match="numerator"):
+        QQ.scalar_from_json({"num": " 7", "den": "1"})
+    with pytest.raises(RingError, match="numerator"):
+        QQ.scalar_from_json({"num": "9" * 5000, "den": "1"})
     assert QQ.scalar_from_json({"num": "-3", "den": "4"}) == Fraction(-3, 4)
-    assert ZZ.scalar_from_json({"int": 7}) == 7
+    assert QQ.scalar_from_json({"num": 7, "den": 1}) == 7
 
 
 def test_scalar_from_json_rejects_floats():
@@ -216,8 +213,6 @@ def test_scalar_from_json_rejects_floats():
         QQ.scalar_from_json({"num": 1.5, "den": "1"})
     with pytest.raises(RingError, match="denominator"):
         QQ.scalar_from_json({"num": "1", "den": 2.0})
-    with pytest.raises(RingError):
-        ZZ.scalar_from_json({"int": 1.5})
     with pytest.raises(RingError):
         GF(5).scalar_from_json({"res": 1.0})
 
@@ -228,4 +223,4 @@ def test_scalar_from_json_rejects_booleans():
     with pytest.raises(RingError):
         QQ.scalar_from_json({"num": True, "den": "1"})
     with pytest.raises(RingError):
-        ZZ.scalar_from_json({"int": False})
+        QQ.scalar_from_json({"num": "1", "den": False})
