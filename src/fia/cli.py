@@ -5,6 +5,10 @@ theorem enumerate | random.  JSON output is byte-deterministic (sorted
 keys, canonical entry order); exit code 0 means success or a confirmed
 verdict, 1 a rejected or refuted verdict, 2 a usage, parse or IO error.
 
+build_parser builds every verb from one table, _VERBS, of its handler and
+the arguments it takes after the poset; run reads the poset, which every
+verb takes first, and hands it to the handler.
+
 Each handler returns its JSON output as an iterable of text chunks, its
 text lines and its exit code, and _emit writes the chosen format chunk by
 chunk.  Most reports are one canonical dump; der basis streams its maps
@@ -52,8 +56,8 @@ def _read_poset(path):
     return parse_poset(text)
 
 
-def _read_endo(args):
-    poset, path = _read_poset(args.poset), args.map
+def _read_endo(poset, args):
+    path = args.map
     with open(path, encoding="utf-8") as handle:
         # Bad UTF-8, bad JSON syntax and integer literals longer than
         # int() converts raise ValueError; nesting deeper than the
@@ -106,11 +110,10 @@ def _lines(payload, *keys) -> list[str]:
     return [f"{key}: {payload[key]}" for key in keys]
 
 
-# -- command handlers: each returns (JSON chunks, text lines, exit code) -----
+# -- command handlers: (poset, args) -> (JSON chunks, text lines, exit code) --
 
 
-def _cmd_poset_check(args):
-    poset = _read_poset(args.poset)
+def _cmd_poset_check(poset, args):
     payload = {
         "mode": "poset-check",
         "elements": len(poset),
@@ -121,8 +124,7 @@ def _cmd_poset_check(args):
     return _json(payload), lines, 0
 
 
-def _cmd_der_basis(args):
-    poset = _read_poset(args.poset)
+def _cmd_der_basis(poset, args):
     ring = parse_ring(args.ring)
     payload = {
         "mode": "der-basis",
@@ -150,8 +152,7 @@ def _basis_json(poset, ring, payload):
     yield tail + "\n"
 
 
-def _cmd_der_h1(args):
-    poset = _read_poset(args.poset)
+def _cmd_der_h1(poset, args):
     ring = parse_ring(args.ring)
     dim_der = deriv.derivation_dimension(poset, ring)
     dim_inner = deriv.inner_dimension(poset, ring)
@@ -166,8 +167,8 @@ def _cmd_der_h1(args):
     return _json(payload), lines, 0
 
 
-def _cmd_der_decompose(args):
-    d = _read_endo(args)
+def _cmd_der_decompose(poset, args):
+    d = _read_endo(poset, args)
     dec = deriv.decompose(d)
     payload = dec.to_json()
     lines = [
@@ -190,10 +191,10 @@ def _verdict_exit(verdict: str) -> int:
     return 0
 
 
-def _cmd_locder_verify(args):
+def _cmd_locder_verify(poset, args):
     from . import locder
 
-    d = _read_endo(args)
+    d = _read_endo(poset, args)
     if args.mode == "exhaustive":
         report = locder.check_local_exhaustive(d, probe_cap=args.probe_cap)
     else:
@@ -209,10 +210,10 @@ def _cmd_locder_verify(args):
     return _json(payload), lines, _verdict_exit(report.verdict)
 
 
-def _cmd_locder_lemmas(args):
+def _cmd_locder_lemmas(poset, args):
     from . import locder
 
-    d = _read_endo(args)
+    d = _read_endo(poset, args)
     report = locder.lemma_conformance(d, seed=args.seed)
     payload = report.to_json()
     lines = [f"ring: {report.ring}"]
@@ -222,10 +223,9 @@ def _cmd_locder_lemmas(args):
     return _json(payload), lines, 0 if report.all_pass else 1
 
 
-def _cmd_theorem_enumerate(args):
+def _cmd_theorem_enumerate(poset, args):
     from . import locder
 
-    poset = _read_poset(args.poset)
     ring = parse_ring(args.ring)
     if ring.kind != "zp":
         raise RingError("theorem enumerate needs a zp ring")
@@ -236,10 +236,9 @@ def _cmd_theorem_enumerate(args):
     return _json(payload), lines, _verdict_exit(report.verdict)
 
 
-def _cmd_theorem_random(args):
+def _cmd_theorem_random(poset, args):
     from . import locder
 
-    poset = _read_poset(args.poset)
     ring = parse_ring(args.ring)
     report = locder.theorem_verify_random(
         poset, ring, trials=args.trials, seed=args.seed, probe_cap=args.probe_cap
@@ -259,81 +258,50 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_output_flags(parser):
-    parser.add_argument(
-        "--format", choices=("json", "text"), default="text", dest="format_"
-    )
-    parser.add_argument("--out", default=None, help="write output to a file")
+# -- each verb's handler and its arguments after the poset, in help order;
+# every verb also takes --format and --out.
+
+_MAP = ("map", {})
+_MODE = ("--mode", {"choices": ("exhaustive", "spanning"), "default": "exhaustive"})
+_TRIALS = ("--trials", {"type": _positive_int, "default": 50})
+_SEED = ("--seed", {"type": int, "default": 0})
+_CAP = ("--probe-cap", {"type": _positive_int, "default": None})
+
+
+def _ring(default):
+    return "--ring", {"default": default}
+
+
+_VERBS = {
+    ("poset", "check"): (_cmd_poset_check,),
+    ("der", "basis"): (_cmd_der_basis, _ring("q")),
+    ("der", "h1"): (_cmd_der_h1, _ring("q")),
+    ("der", "decompose"): (_cmd_der_decompose, _MAP, _ring(None)),
+    ("locder", "verify"): (_cmd_locder_verify, _MAP, _ring(None), _MODE, _SEED, _CAP),
+    ("locder", "lemmas"): (_cmd_locder_lemmas, _MAP, _ring(None), _SEED),
+    ("theorem", "enumerate"): (_cmd_theorem_enumerate, _ring("zp:2"), _CAP),
+    ("theorem", "random"): (_cmd_theorem_random, _ring("q"), _TRIALS, _SEED, _CAP),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="fia")
     groups = top.add_subparsers(dest="group", required=True)
-
-    poset_group = groups.add_parser("poset").add_subparsers(
-        dest="command", required=True
-    )
-    p = poset_group.add_parser("check")
-    p.add_argument("poset")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_poset_check)
-
-    der_group = groups.add_parser("der").add_subparsers(dest="command", required=True)
-    p = der_group.add_parser("basis")
-    p.add_argument("poset")
-    p.add_argument("--ring", default="q")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_der_basis)
-    p = der_group.add_parser("h1")
-    p.add_argument("poset")
-    p.add_argument("--ring", default="q")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_der_h1)
-    p = der_group.add_parser("decompose")
-    p.add_argument("poset")
-    p.add_argument("map")
-    p.add_argument("--ring", default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_der_decompose)
-
-    locder_group = groups.add_parser("locder").add_subparsers(
-        dest="command", required=True
-    )
-    p = locder_group.add_parser("verify")
-    p.add_argument("poset")
-    p.add_argument("map")
-    p.add_argument("--ring", default=None)
-    p.add_argument("--mode", choices=("exhaustive", "spanning"), default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probe-cap", type=_positive_int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_locder_verify)
-    p = locder_group.add_parser("lemmas")
-    p.add_argument("poset")
-    p.add_argument("map")
-    p.add_argument("--ring", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_locder_lemmas)
-
-    theorem_group = groups.add_parser("theorem").add_subparsers(
-        dest="command", required=True
-    )
-    p = theorem_group.add_parser("enumerate")
-    p.add_argument("poset")
-    p.add_argument("--ring", default="zp:2")
-    p.add_argument("--probe-cap", type=_positive_int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_theorem_enumerate)
-    p = theorem_group.add_parser("random")
-    p.add_argument("poset")
-    p.add_argument("--ring", default="q")
-    p.add_argument("--trials", type=_positive_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probe-cap", type=_positive_int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_theorem_random)
-
+    commands = {}
+    for (group, command), (handler, *specs) in _VERBS.items():
+        if group not in commands:
+            commands[group] = groups.add_parser(group).add_subparsers(
+                dest="command", required=True
+            )
+        p = commands[group].add_parser(command)
+        p.add_argument("poset")
+        for name, kwargs in specs:
+            p.add_argument(name, **kwargs)
+        p.add_argument(
+            "--format", choices=("json", "text"), default="text", dest="format_"
+        )
+        p.add_argument("--out", default=None, help="write output to a file")
+        p.set_defaults(handler=handler)
     return top
 
 
@@ -344,7 +312,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        json_chunks, lines, code = args.handler(args)
+        json_chunks, lines, code = args.handler(_read_poset(args.poset), args)
         text = (line + "\n" for line in lines)
         _emit(json_chunks if args.format_ == "json" else text, args.out)
     except (

@@ -60,7 +60,8 @@ from .poset import Poset
 from .scalars import GF, CoeffRing, RingError
 
 DEFAULT_PROBE_CAP = 1 << 20
-# A random campaign holds 2 * trials sample maps of npairs^2 scalars at once.
+# A random campaign holds 2 * trials sample maps at once, each charged npairs^2
+# scalars but at least 16, as a map's fixed 118 B would hold 15 8-byte entries.
 CAMPAIGN_SCALAR_CAP = 1 << 20
 SPANNING_RANDOM_PROBES = 32
 SPANNING_SUBSET_LIMIT = 12
@@ -471,6 +472,17 @@ def theorem_verify_enumerate(
 # -- theorem harness: random campaigns --------------------------------------
 
 
+def _non_derivation(poset, ring, rng) -> LinearEndo:
+    """A random map that is no derivation, from at most 64 draws."""
+    n = poset.npairs
+    for _ in range(64):
+        cols = [[ring.sample(rng) for _ in range(n)] for _ in range(n)]
+        d = LinearEndo(poset, ring, cols)
+        if not is_derivation(d):
+            return d
+    raise RingError("could not sample a non-derivation")
+
+
 def theorem_verify_random(
     poset: Poset,
     ring: CoeffRing,
@@ -491,10 +503,10 @@ def theorem_verify_random(
         raise AlgebraError(f"a campaign needs trials >= 1, got {trials}")
     cap = DEFAULT_PROBE_CAP if probe_cap is None else probe_cap
     n = poset.npairs
-    if trials * n * n > CAMPAIGN_SCALAR_CAP:
+    if trials * max(n * n, 16) > CAMPAIGN_SCALAR_CAP:
         raise CapExceededError(
-            f"{trials} trials of {n}x{n} sample maps exceed the cap of"
-            f" {CAMPAIGN_SCALAR_CAP} scalars; lower --trials"
+            f"{trials} trials of {n}x{n} sample maps, at least 16 scalars each,"
+            f" exceed the cap of {CAMPAIGN_SCALAR_CAP} scalars; lower --trials"
         )
     mode = "exhaustive" if ring.kind == "zp" and ring.p**n <= cap else "spanning"
     if mode == "spanning":
@@ -502,46 +514,29 @@ def theorem_verify_random(
     der_rows = _derivation_rref(poset, ring).values()
     rng = random.Random(seed)
 
-    der_samples = [
+    # One rng draws, in order, the derivations, non-derivations and seeds.
+    samples = [
         _endo_from_rows(poset, ring, [(ring.sample(rng), row) for row in der_rows])
         for _ in range(trials)
     ]
-
-    non_samples = []
     if len(der_rows) < n * n:
-        for _ in range(trials):
-            for _ in range(64):
-                cols = [[ring.sample(rng) for _ in range(n)] for _ in range(n)]
-                d = LinearEndo(poset, ring, cols)
-                if not is_derivation(d):
-                    non_samples.append(d)
-                    break
-            else:
-                raise RingError("could not sample a non-derivation")
-    der_seeds = [rng.randrange(1 << 32) for _ in range(trials)]
-    non_seeds = [rng.randrange(1 << 32) for _ in range(len(non_samples))]
-
-    # Non-derivations met is_derivation while being sampled.
-    der_flags = [is_derivation(d) for d in der_samples]
-    der_reports = [
-        _check_local(d, flag, mode, cap, span_seed)
-        for d, flag, span_seed in zip(der_samples, der_flags, der_seeds)
-    ]
-    non_reports = [
-        _check_local(d, False, mode, cap, span_seed)
-        for d, span_seed in zip(non_samples, non_seeds)
-    ]
-    der_local = [r.verdict != VERDICT_REJECTED for r in der_reports]
-    non_local = [r.verdict != VERDICT_REJECTED for r in non_reports]
-    der_ok = all(der_local) and all(der_flags)
-    verdict = VERDICT_CONFIRMED if der_ok and not any(non_local) else VERDICT_REFUTED
-    probes = sum(r.probes_checked for r in der_reports + non_reports)
+        samples += [_non_derivation(poset, ring, rng) for _ in range(trials)]
+    seeds = [rng.randrange(1 << 32) for _ in samples]
+    confirmed, s_loc, probes = True, 0, 0
+    for k, (d, span_seed) in enumerate(zip(samples, seeds)):
+        # Non-derivations met is_derivation while being sampled.
+        derivation = k < trials and is_derivation(d)
+        report = _check_local(d, derivation, mode, cap, span_seed)
+        local = report.verdict != VERDICT_REJECTED
+        confirmed = confirmed and (derivation and local if k < trials else not local)
+        s_loc += local
+        probes += report.probes_checked
     return TheoremReport(
         "random",
-        verdict,
+        VERDICT_CONFIRMED if confirmed else VERDICT_REFUTED,
         ring.designator(),
-        len(der_samples),
-        sum(der_local) + sum(non_local),
+        trials,
+        s_loc,
         probes,
         seed=seed,
         trials=trials,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from fia import deriv
-from fia.cli import run
+from fia.cli import build_parser, run
 from fia.deriv import derivation_basis, inner, sigma_endo
 from fia.fialg import element, element_from_json
 from fia.poset import parse_poset, random_poset
@@ -264,15 +264,25 @@ def test_theorem_random_refuses_truncated_spanning_family(capsys, chain2_file):
     assert "--probe-cap" in capsys.readouterr().err
 
 
-def test_theorem_random_refuses_huge_trials_at_once(capsys, chain2_file):
-    start = time.perf_counter()
-    code = run(
-        ["theorem", "random", chain2_file, "--ring", "zp:2",
-         "--trials", "100000000000"]
-    )
-    assert time.perf_counter() - start < 0.5
-    assert code == 2
-    assert "--trials" in capsys.readouterr().err
+def test_theorem_random_refuses_huge_trials_at_once(capsys, tmp_path, chain2_file):
+    # Each sample map is charged npairs^2 scalars but at least 16, so the
+    # empty and the one-element posets are refused one trial above 2^20 / 16
+    # and the 3-chain (36 scalars) one above 2^20 // 36.
+    empty, one = tmp_path / "empty.poset", tmp_path / "one.poset"
+    empty.write_text("elements:\n")
+    one.write_text("elements: a\n")
+    cases = [
+        (chain2_file, "zp:2", "100000000000"),
+        (str(empty), "q", str(2**16 + 1)),
+        (str(one), "zp:2", str(2**16 + 1)),
+        (chain_file(tmp_path, 3), "q", str(2**20 // 36 + 1)),
+    ]
+    for path, ring, trials in cases:
+        start = time.perf_counter()
+        code = run(["theorem", "random", path, "--ring", ring, "--trials", trials])
+        assert time.perf_counter() - start < 0.5, path
+        assert code == 2, path
+        assert "--trials" in capsys.readouterr().err
 
 
 def test_der_basis_text_builds_no_basis(capsys, tmp_path, monkeypatch):
@@ -534,6 +544,56 @@ def test_usage_errors_exit_2():
     assert run(["der"]) == 2
     assert run(["no-such-verb"]) == 2
     assert run([]) == 2
+
+
+# Each verb's operands after the poset and the defaults it parses to.  The
+# parsed namespace, not the help text, pins the interface, since argparse
+# words its help differently from one Python version to the next.
+OUTPUT_DEFAULTS = {"format_": "text", "out": None}
+VERB_DEFAULTS = {
+    "poset check": ((), {}),
+    "der basis": ((), {"ring": "q"}),
+    "der h1": ((), {"ring": "q"}),
+    "der decompose": (("m.json",), {"map": "m.json", "ring": None}),
+    "locder verify": (
+        ("m.json",),
+        {"map": "m.json", "ring": None, "mode": "exhaustive", "seed": 0,
+         "probe_cap": None},
+    ),
+    "locder lemmas": (("m.json",), {"map": "m.json", "ring": None, "seed": 0}),
+    "theorem enumerate": ((), {"ring": "zp:2", "probe_cap": None}),
+    "theorem random": (
+        (), {"ring": "q", "trials": 50, "seed": 0, "probe_cap": None}
+    ),
+}
+VERB_OPTIONS = {
+    "--ring": "q",
+    "--mode": "spanning",
+    "--seed": "1",
+    "--probe-cap": "1",
+    "--trials": "1",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_DEFAULTS))
+def test_verb_parses_to_its_defaults(capsys, verb):
+    group, command = verb.split()
+    operands, defaults = VERB_DEFAULTS[verb]
+    args = vars(build_parser().parse_args([group, command, "p.poset", *operands]))
+    assert callable(args.pop("handler"))
+    assert args == {
+        "group": group, "command": command, "poset": "p.poset",
+        **defaults, **OUTPUT_DEFAULTS,
+    }
+    for option, value in VERB_OPTIONS.items():
+        argv = [group, command, "p.poset", *operands, option, value]
+        if option.lstrip("-").replace("-", "_") in defaults:
+            build_parser().parse_args(argv)
+            continue
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 # Each verb on the golden catalogue, and which of the modules in
