@@ -75,7 +75,7 @@ _HOMES = {
         "poset",
     ),
     **dict.fromkeys(
-        ("GF", "QQ", "CoeffRing", "RingError", "Scalar", "parse_ring"),
+        ("GF", "QQ", "CoeffRing", "RingError", "parse_ring"),
         "scalars",
     ),
 }

@@ -26,7 +26,7 @@ from itertools import chain
 from . import _linalg
 from .fialg import AlgebraError, FiElement, _check_compatible, convolve, unit
 from .poset import Poset
-from .scalars import CoeffRing, Scalar
+from .scalars import CoeffRing
 
 
 def _canonical_json(obj) -> str:
@@ -100,8 +100,8 @@ class LinearEndo:
         entries = {ip[r]: out[r] for r in range(n) if out[r] != ring.zero}
         return FiElement(self.poset, ring, entries)
 
-    def apply_coeff(self, a: FiElement, x: str, y: str) -> Scalar:
-        """The (x, y) coefficient of apply(a), without forming the image."""
+    def apply_coeff(self, a: FiElement, x: str, y: str):
+        """The raw (x, y) coefficient of apply(a), without forming the image."""
         ring = self.ring
         pos = self.poset.pair_pos
         row = pos(self.poset.index(x), self.poset.index(y))
@@ -110,7 +110,7 @@ class LinearEndo:
             w = self.cols[pos(*pair)][row]
             if w != ring.zero:
                 acc = ring.add(acc, ring.mul(v, w))
-        return Scalar(ring, acc)
+        return acc
 
     # -- linear structure --------------------------------------------------
 

@@ -9,8 +9,10 @@ an element to an interval corner are provided as constructors.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .poset import Poset, PosetError
-from .scalars import CoeffRing, RingMismatchError, Scalar
+from .scalars import CoeffRing, RingMismatchError
 
 
 class AlgebraError(ValueError):
@@ -48,18 +50,18 @@ class FiElement:
 
     # -- access --------------------------------------------------------
 
-    def coeff(self, x: str, y: str) -> Scalar:
-        """The coefficient at (x, y); zero when absent or incomparable."""
+    def coeff(self, x: str, y: str):
+        """The raw coefficient at (x, y); zero when absent or incomparable."""
         i, j = self.poset.index(x), self.poset.index(y)
-        return Scalar(self.ring, self.entries.get((i, j), self.ring.zero))
+        return self.entries.get((i, j), self.ring.zero)
 
-    def support(self) -> list[tuple[str, str, Scalar]]:
-        """Nonzero entries (x, y, value) in canonical pair order."""
+    def support(self) -> list[tuple]:
+        """Nonzero entries (x, y, raw value) in canonical pair order."""
         pos = self.poset.pair_pos
         els = self.poset.elements
         out = []
         for (i, j) in sorted(self.entries, key=lambda p: pos(*p)):
-            out.append((els[i], els[j], Scalar(self.ring, self.entries[(i, j)])))
+            out.append((els[i], els[j], self.entries[(i, j)]))
         return out
 
     def is_zero(self) -> bool:
@@ -76,8 +78,8 @@ class FiElement:
 
     def __repr__(self):
         terms = ", ".join(
-            f"{x}<{y}:{s.value}" if x != y else f"{x}:{s.value}"
-            for x, y, s in self.support()
+            f"{x}<{y}:{v}" if x != y else f"{x}:{v}"
+            for x, y, v in self.support()
         )
         return f"FiElement({self.ring.designator()}, {{{terms or '0'}}})"
 
@@ -117,7 +119,7 @@ class FiElement:
         return FiElement(self.poset, ring, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)) and not isinstance(other, bool):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self.scale(other)
         return NotImplemented
 
@@ -129,9 +131,9 @@ class FiElement:
         return convolve(self, other)
 
     def to_json(self) -> dict:
+        to_j = self.ring.scalar_to_json
         entries = [
-            {"from": x, "to": y, "value": s.to_json()}
-            for x, y, s in self.support()
+            {"from": x, "to": y, "value": to_j(v)} for x, y, v in self.support()
         ]
         return {"ring": self.ring.designator(), "entries": entries}
 

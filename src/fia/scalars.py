@@ -2,9 +2,9 @@
 
 Ring designators are "q" and "zp:<p>".  Values are kept canonical so
 that equality is structural: fractions are reduced with positive
-denominator, prime-field residues lie in [0, p).  A CoeffRing does the
-arithmetic on raw values (Fraction for q, int for zp); Scalar pairs a
-raw value with its ring for use at API boundaries.
+denominator, prime-field residues lie in [0, p).  A CoeffRing does all
+the arithmetic on these raw values (Fraction for q, int for zp), and
+the library takes and returns them as they are.
 """
 
 from __future__ import annotations
@@ -105,10 +105,7 @@ class CoeffRing:
         return n % self.p
 
     def canonical(self, value):
-        """Convert an int, Fraction or Scalar into a raw value of this ring."""
-        if isinstance(value, Scalar):
-            self.check_same(value.ring)
-            return value.value
+        """Convert an int or Fraction into a raw value of this ring."""
         if isinstance(value, bool):
             raise RingError("bool is not a ring value")
         if isinstance(value, int):
@@ -150,9 +147,6 @@ class CoeffRing:
             raise ZeroDivisionError("inverse of zero residue")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     # -- sampling ----------------------------------------------------
 
     def sample(self, rng):
@@ -167,7 +161,7 @@ class CoeffRing:
             if v != 0:
                 return v
 
-    # -- Scalar and JSON boundaries ----------------------------------
+    # -- JSON boundary -----------------------------------------------
 
     def scalar_to_json(self, raw):
         if self.kind == "q":
@@ -242,86 +236,3 @@ def parse_ring(designator: str) -> CoeffRing:
             raise RingError(f"bad modulus in designator {designator!r}")
         return GF(p)
     raise RingError(f"unknown ring designator {designator!r}")
-
-
-class Scalar:
-    """A raw ring value tagged with its ring; arithmetic checks the tags."""
-
-    __slots__ = ("ring", "value")
-
-    def __init__(self, ring: CoeffRing, value):
-        self.ring = ring
-        self.value = ring.canonical(value)
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            self.ring.check_same(other.ring)
-            return other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.ring.from_int(other)
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(self.ring, self.ring.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(self.ring, self.ring.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(self.ring, self.ring.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(self.ring, self.ring.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(self.ring, self.ring.div(self.value, v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return Scalar(self.ring, self.ring.div(v, self.value))
-
-    def __neg__(self):
-        return Scalar(self.ring, self.ring.neg(self.value))
-
-    def inv(self):
-        return Scalar(self.ring, self.ring.inv(self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.ring == other.ring and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == self.ring.from_int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring, self.value))
-
-    def __repr__(self):
-        return f"Scalar({self.ring.designator()}, {self.value})"
-
-    def to_json(self):
-        return self.ring.scalar_to_json(self.value)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -599,3 +600,13 @@ def test_apply_coeff_matches_apply():
     img = d.apply(a)
     for x, y in poset.pairs():
         assert d.apply_coeff(a, x, y) == img.coeff(x, y)
+
+
+def test_coefficients_come_back_raw():
+    a = element(CHAIN3, GF(5), {("x", "y"): 7})
+    assert a.coeff("x", "y") == 2 and type(a.coeff("x", "y")) is int
+    assert [(x, y, v, type(v)) for x, y, v in a.support()] == [("x", "y", 2, int)]
+    d = inner(element(CHAIN3, QQ, {("x", "y"): 1}))
+    b = unit(CHAIN3, QQ, "y", "z")
+    got = d.apply_coeff(b, "x", "z")
+    assert type(got) is Fraction and got == d.apply(b).coeff("x", "z") != 0

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ from fia.fialg import (
     zeta,
 )
 from fia.poset import parse_poset, random_poset
-from fia.scalars import GF, QQ, RingMismatchError, Scalar
+from fia.scalars import GF, QQ, RingError, RingMismatchError
 
 CHAIN3 = parse_poset("elements: x y z\nx < y\ny < z\n")
 DIAMOND = parse_poset("elements: bot a b top\nbot < a\nbot < b\na < top\nb < top\n")
@@ -57,7 +58,7 @@ def test_element_builder_and_coeff():
     a = element(CHAIN3, QQ, {("x", "y"): 3, ("x", "z"): 0, ("y", "z"): -1})
     assert a.coeff("x", "y") == 3
     assert a.coeff("x", "z") == 0
-    assert ("x", "z", Scalar(QQ, 0)) not in a.support()
+    assert ("x", "z", 0) not in a.support()
     assert [(x, y) for x, y, _ in a.support()] == [("x", "y"), ("y", "z")]
 
 
@@ -76,8 +77,20 @@ def test_module_operations():
     assert a - a == zero(CHAIN3, QQ)
     assert (a + b) - b == a
     assert 2 * a == a + a
-    assert Scalar(QQ, -1) * a == -a
+    assert -1 * a == -a
     assert a.scale(0).is_zero()
+
+
+def test_rmul_takes_raw_ring_values():
+    a = element(CHAIN3, QQ, {("x", "y"): 3})
+    assert Fraction(1, 2) * a == element(CHAIN3, QQ, {("x", "y"): Fraction(3, 2)})
+    # A Fraction is no value of zp:5: refused as scale() refuses it.
+    b = element(CHAIN3, GF(5), {("x", "y"): 3})
+    with pytest.raises(RingError):
+        Fraction(1, 2) * b
+    for other in (0.5, True, "2"):
+        with pytest.raises(TypeError):
+            other * a
 
 
 def test_mixed_ring_operations_raise():
