@@ -203,12 +203,10 @@ def inner(a: FiElement) -> LinearEndo:
 
 def coboundary(poset: Poset, ring: CoeffRing, point_values) -> FiElement:
     """The function (x, y) -> f(y) - f(x) induced by a function on elements."""
-    raw = {x: ring.canonical(v) for x, v in point_values.items()}
+    raw = {poset.index(x): ring.canonical(v) for x, v in point_values.items()}
     values = {}
     for i, j in poset.ipairs:
-        fy = raw.get(poset.elements[j], ring.zero)
-        fx = raw.get(poset.elements[i], ring.zero)
-        v = ring.sub(fy, fx)
+        v = ring.sub(raw.get(j, ring.zero), raw.get(i, ring.zero))
         if v != ring.zero:
             values[(i, j)] = v
     return FiElement(poset, ring, values)

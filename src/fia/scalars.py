@@ -3,19 +3,17 @@
 Ring designators are "q" and "zp:<p>".  Values are kept canonical so
 that equality is structural: fractions are reduced with positive
 denominator, prime-field residues lie in [0, p).  A CoeffRing does all
-the arithmetic on these raw values (Fraction for q, int for zp), and
-the library takes and returns them as they are.
+the arithmetic on these raw values (Fraction for q, int for zp), with
+operations chosen once when the ring is built, and the library takes
+and returns the values as they are.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 MAX_MODULUS = 1 << 31
-
-# Fractions are immutable, so the rationals share one zero and one one.
-_Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
 
 
 class RingError(ValueError):
@@ -43,12 +41,13 @@ def is_prime(p: int) -> bool:
 class CoeffRing:
     """Handle for one of the supported coefficient rings.
 
-    The arithmetic methods work on raw canonical values and assume their
-    inputs already belong to this ring; canonical() is the checked entry
-    point for foreign values.
+    zero, one, add, sub, neg and mul are bound when the ring is built:
+    the operator functions for q, reductions mod p for zp.  They work on
+    raw canonical values and assume their inputs already belong to this
+    ring; canonical() is the checked entry point for foreign values.
     """
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("kind", "p", "zero", "one", "add", "sub", "neg", "mul")
 
     def __init__(self, kind: str, p: int | None = None):
         if kind not in ("q", "zp"):
@@ -62,6 +61,16 @@ class CoeffRing:
             raise RingError(f"ring {kind!r} takes no modulus")
         self.kind = kind
         self.p = p
+        if kind == "q":
+            self.zero, self.one = Fraction(0), Fraction(1)
+            self.add, self.sub = operator.add, operator.sub
+            self.neg, self.mul = operator.neg, operator.mul
+        else:
+            self.zero, self.one = 0, 1
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.neg = lambda a: -a % p
+            self.mul = lambda a, b: a * b % p
 
     # -- identity ----------------------------------------------------
 
@@ -83,6 +92,10 @@ class CoeffRing:
     def __repr__(self):
         return f"CoeffRing({self.designator()!r})"
 
+    def __reduce__(self):
+        # The bound closures do not pickle; the designator names the ring.
+        return parse_ring, (self.designator(),)
+
     def check_same(self, other: "CoeffRing"):
         if self != other:
             raise RingMismatchError(
@@ -90,14 +103,6 @@ class CoeffRing:
             )
 
     # -- raw arithmetic ----------------------------------------------
-
-    @property
-    def zero(self):
-        return _Q_ZERO if self.kind == "q" else 0
-
-    @property
-    def one(self):
-        return _Q_ONE if self.kind == "q" else 1
 
     def from_int(self, n: int):
         if self.kind == "q":
@@ -117,26 +122,6 @@ class CoeffRing:
                 f"{value!r} is not a value of ring {self.designator()}"
             )
         raise RingError(f"cannot coerce {value!r} into ring {self.designator()}")
-
-    def add(self, a, b):
-        if self.kind == "zp":
-            return (a + b) % self.p
-        return a + b
-
-    def sub(self, a, b):
-        if self.kind == "zp":
-            return (a - b) % self.p
-        return a - b
-
-    def neg(self, a):
-        if self.kind == "zp":
-            return -a % self.p
-        return -a
-
-    def mul(self, a, b):
-        if self.kind == "zp":
-            return (a * b) % self.p
-        return a * b
 
     def inv(self, a):
         if self.kind == "q":

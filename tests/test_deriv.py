@@ -30,7 +30,7 @@ from fia.fialg import (
     unit,
     zero,
 )
-from fia.poset import random_poset
+from fia.poset import PosetError, random_poset
 from fia.scalars import GF, QQ
 
 from helpers import (
@@ -397,6 +397,13 @@ def test_coboundaries_are_cocycles():
         # The diagonal map of f(y) - f(x) is the commutator with -diag(f).
         diag = element(poset, QQ, {(x, x): -v for x, v in f.items()})
         assert sigma_endo(sigma) == inner(diag)
+
+
+def test_coboundary_rejects_unknown_labels():
+    with pytest.raises(PosetError, match="unknown label"):
+        coboundary(CHAIN3, QQ, {"nope": 3})
+    with pytest.raises(PosetError, match="unknown label"):
+        coboundary(CHAIN3, GF(5), {"x": 1, "nope": 0})
 
 
 def test_non_cocycle_on_chain3_breaks_leibniz():

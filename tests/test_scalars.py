@@ -1,8 +1,12 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from fia.deriv import derivation_basis
+from fia.fialg import element
 from fia.scalars import (
     GF,
     QQ,
@@ -11,6 +15,8 @@ from fia.scalars import (
     is_prime,
     parse_ring,
 )
+
+from helpers import CHAIN3
 
 
 def test_designators_round_trip():
@@ -39,6 +45,19 @@ def test_is_prime_small_values():
 def test_gf_is_cached():
     assert GF(7) is GF(7)
     assert parse_ring("zp:7") is GF(7)
+
+
+def test_rings_elements_and_maps_pickle_and_deepcopy():
+    # A ring unpickles to the cached instance its designator names.
+    for ring in (QQ, GF(7)):
+        assert pickle.loads(pickle.dumps(ring)) is ring
+        assert copy.deepcopy(ring) is ring
+    a = element(CHAIN3, GF(5), {("x", "y"): 3, ("y", "z"): 4})
+    d = derivation_basis(CHAIN3, QQ)[-1]
+    for obj in (QQ, GF(5), a, d):
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert twin == obj
+    assert pickle.loads(pickle.dumps(a)).ring is GF(5)
 
 
 def test_ring_constructor_validation():
@@ -103,6 +122,8 @@ def test_canonical_rejects_foreign_values():
 def test_field_axioms_on_samples():
     rng = random.Random(11)
     for ring in (QQ, GF(2), GF(5), GF(97)):
+        kind = Fraction if ring is QQ else int
+        assert type(ring.zero) is kind and type(ring.one) is kind
         for _ in range(50):
             a = ring.sample(rng)
             b = ring.sample(rng)
@@ -115,6 +136,9 @@ def test_field_axioms_on_samples():
                 ring.mul(a, b), ring.mul(a, c)
             )
             assert ring.add(a, ring.neg(a)) == ring.zero
+            assert ring.sub(a, b) == ring.add(a, ring.neg(b))
+            assert ring.add(a, ring.zero) == a
+            assert ring.mul(a, ring.one) == a
             nz = ring.sample_nonzero(rng)
             assert ring.mul(nz, ring.inv(nz)) == ring.one
 
