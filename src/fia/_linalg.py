@@ -4,7 +4,7 @@ Rows are sparse dicts mapping variable index to a nonzero raw value.
 _eliminate is the one row step, row -= factor * pivot row with zeros
 dropped.  add_row grows an echelon basis by one row with it; rref is
 add_row plus back substitution with it; reduce_vector reduces a vector
-with it, and nullspace only reads echelon rows.
+with it; nullspace only reads rref rows and yields sparse rows too.
 Pivots always sit on the smallest variable present, so the reduced
 echelon form, the pivot set and the nullspace basis depend only on the
 row space and the variable order, never on the order rows arrive in.
@@ -62,22 +62,18 @@ def rref(rows, ring) -> dict[int, dict]:
     return {lead: pivot_rows[lead] for lead in sorted(pivot_rows)}
 
 
-def nullspace(pivot_rows: dict[int, dict], nvars: int, ring) -> list[list]:
-    """Canonical nullspace basis, one dense vector per free variable."""
-    basis = []
-    zero = ring.zero
-    one = ring.one
-    for free in range(nvars):
-        if free in pivot_rows:
-            continue
-        vec = [zero] * nvars
-        vec[free] = one
-        for lead, row in pivot_rows.items():
-            coeff = row.get(free)
-            if coeff is not None and coeff != zero:
-                vec[lead] = ring.neg(coeff)
-        basis.append(vec)
-    return basis
+def nullspace(pivot_rows: dict[int, dict], nvars: int, ring) -> list[dict]:
+    """Canonical nullspace basis of rref rows, one sparse row per free variable.
+
+    Free variable f's row is one at f and -row[f] at each rref row's pivot.
+    """
+    one, neg = ring.one, ring.neg
+    basis = {f: {f: one} for f in range(nvars) if f not in pivot_rows}
+    for lead, row in pivot_rows.items():
+        for c, v in row.items():
+            if c != lead:
+                basis[c][lead] = neg(v)
+    return list(basis.values())
 
 
 def reduce_vector(vec: dict, pivot_rows: dict[int, dict], ring) -> dict:

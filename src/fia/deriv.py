@@ -390,8 +390,8 @@ def _commutator_rows(poset: Poset, ring: CoeffRing):
             yield row
 
 
-def _cocycle_basis(poset: Poset, ring: CoeffRing) -> list[list]:
-    """Canonical basis of the cocycles, as dense vectors over the pairs."""
+def _cocycle_basis(poset: Poset, ring: CoeffRing) -> list[dict]:
+    """Canonical basis of the cocycles, as sparse rows over the pair positions."""
     pivots = _linalg.rref(_cocycle_rows(poset, ring), ring)
     return _linalg.nullspace(pivots, poset.npairs, ring)
 
@@ -408,7 +408,7 @@ def _derivation_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
     n = poset.npairs
     last = n * n - 1
     diagonal_maps = (
-        {t * n + t: s for t, s in enumerate(sigma) if s != ring.zero}
+        {t * n + t: s for t, s in sigma.items()}
         for sigma in _cocycle_basis(poset, ring)
     )
     rows = chain(_commutator_rows(poset, ring), diagonal_maps)

@@ -3,8 +3,9 @@
 The Leibniz checks here go straight through convolve on unit elements, so
 they share no code path with the solver-based machinery they are used to
 cross-check.  The oracles for Der and Inner build the Leibniz system on
-basis units and the commutator maps through convolve, and share only the
-elimination of fia._linalg with the library's split-based route.  The
+basis units and the commutator maps through convolve, and reduce them by
+their own dense Gauss-Jordan elimination, so they share no code with the
+library's split-based route and its sparse fia._linalg.  The
 endomorphism scan reads Der and every W_a off that Leibniz kernel as
 sets, so it shares nothing with the probe scan of fia.locder.
 """
@@ -14,7 +15,6 @@ import os
 from pathlib import Path
 
 import fia
-from fia import _linalg
 from fia.deriv import LinearEndo, inner, sigma_endo
 from fia.fialg import FiElement, convolve, unit
 from fia.poset import Poset, parse_poset
@@ -120,13 +120,59 @@ def leibniz_kernel_basis(poset, ring):
                         row[var] = row.get(var, 0) - 1
             for row in by_out.values():
                 int_rows.add(tuple(sorted((v, c) for v, c in row.items() if c)))
-    rows = [{v: ring.from_int(c) for v, c in int_row} for int_row in sorted(int_rows)]
-    rows = [{v: x for v, x in row.items() if x != ring.zero} for row in rows]
-    vecs = _linalg.nullspace(_linalg.rref(rows, ring), n * n, ring)
-    return [
-        LinearEndo(poset, ring, [list(vec[c * n:(c + 1) * n]) for c in range(n)])
-        for vec in vecs
-    ]
+    rows = []
+    for int_row in sorted(int_rows):
+        row = [ring.zero] * (n * n)
+        for v, c in int_row:
+            row[v] = ring.from_int(c)
+        rows.append(row)
+    pivots = dense_rref(rows, ring)
+    basis = []
+    for free in range(n * n):
+        if free not in pivots:
+            vec = [ring.zero] * (n * n)
+            vec[free] = ring.one
+            for lead, row in pivots.items():
+                vec[lead] = ring.neg(row[free])
+            basis.append(LinearEndo(poset, ring, _columns(vec, n)))
+    return basis
+
+
+def dense_rref(rows, ring):
+    """Gauss-Jordan on dense rows: {pivot column: reduced row}, by pivot.
+
+    The reduced echelon form of a row space is unique, so this agrees
+    with any other exact elimination that leads on the smallest column.
+    Each row op touches only the columns where the pivot row is nonzero.
+    """
+    sub, mul = ring.sub, ring.mul
+
+    def subtract(row, f, piv):
+        for c, v in enumerate(piv):
+            if v:
+                row[c] = sub(row[c], mul(f, v))
+
+    pivots = {}
+    for row in rows:
+        row = list(row)
+        for lead, piv in pivots.items():
+            if row[lead]:
+                subtract(row, row[lead], piv)
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is None:
+            continue
+        inv = ring.inv(row[lead])
+        row = [mul(v, inv) if v else v for v in row]
+        for piv in pivots.values():
+            if piv[lead]:
+                subtract(piv, piv[lead], row)
+        pivots[lead] = row
+    return dict(sorted(pivots.items()))
+
+
+def _columns(vec, n):
+    """The n columns of a map flattened column by column."""
+    return [vec[c * n:(c + 1) * n] for c in range(n)]
 
 
 def scan_endomorphisms(poset, p):
@@ -168,20 +214,11 @@ def scan_endomorphisms(poset, p):
 def commutator_span_basis(poset, ring):
     """The rref of the maps inner(e_xy), built through convolve, by pivot."""
     n = poset.npairs
-    rows = []
-    for u in all_units(poset, ring):
-        d = inner(u)
-        row = {c * n + r: v for c, col in enumerate(d.cols) for r, v in enumerate(col) if v}
-        if row:
-            rows.append(row)
-    pivots = _linalg.rref(rows, ring)
-    basis = []
-    for lead in sorted(pivots):
-        cols = [[ring.zero] * n for _ in range(n)]
-        for var, v in pivots[lead].items():
-            cols[var // n][var % n] = v
-        basis.append(LinearEndo(poset, ring, cols))
-    return basis
+    rows = [[v for col in inner(u).cols for v in col] for u in all_units(poset, ring)]
+    return [
+        LinearEndo(poset, ring, _columns(row, n))
+        for row in dense_rref(rows, ring).values()
+    ]
 
 
 def dense_decomposition(d):

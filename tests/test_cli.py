@@ -483,7 +483,8 @@ def test_theorem_enumerate_rejects_rationals(capsys, chain2_file):
 
 
 def test_theorem_enumerate_cap_exit_2(capsys, chain2_file):
-    # The 2-chain over zp:3 has 3^3 = 27 exhaustive probes.
+    # The 2-chain over zp:3 has 3^3 = 27 exhaustive probes.  The rank
+    # computation walks only T(P), but the cap is still charged them.
     code = run(
         ["theorem", "enumerate", chain2_file, "--ring", "zp:3",
          "--probe-cap", "26"]
@@ -495,7 +496,8 @@ def test_theorem_enumerate_cap_exit_2(capsys, chain2_file):
 
 
 def test_theorem_enumerate_three_chain_mod_two(capsys, chain3_file):
-    # 2^36 endomorphisms, but only 2^6 probes for the rank computation.
+    # 2^36 endomorphisms, but only the 16 probes of T(P) for the rank
+    # computation.
     assert run(["theorem", "enumerate", chain3_file]) == 0
     out = capsys.readouterr().out
     assert "verdict: confirmed" in out

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fia._linalg import add_row, reduce_vector, rref
+from fia._linalg import add_row, nullspace, reduce_vector, rref
 from fia.deriv import (
     LinearEndo,
     coboundary,
@@ -300,8 +300,10 @@ def test_add_row_counts_rank_and_matches_rref_pivots():
     # Against enumeration of GF(3)^k: a row raises the rank iff it is no
     # combination of the rows before it; the pivots are the leading
     # variables of the span; rref rows are one at their pivot and zero at
-    # every other; and a vector reduces to nothing, against rref rows or
-    # against add_row's echelon, iff it is a combination of the rows.
+    # every other; a vector reduces to nothing, against rref rows or
+    # against add_row's echelon, iff it is a combination of the rows; and
+    # nullspace yields one sparse row per free variable, one there, that
+    # is orthogonal to every row, and together they span all such vectors.
     ring = GF(3)
     for rows, nvars in _gf3_systems(80, seed=59):
         span = _span_by_enumeration(rows, nvars, 3)
@@ -324,6 +326,19 @@ def test_add_row_counts_rank_and_matches_rref_pivots():
             for echelon in (reduced, pivots):
                 residual = reduce_vector(sparse, echelon, ring)
                 assert (not residual) == (vec in span)
+        kernel = nullspace(reduced, nvars, ring)
+        free = [c for c in range(nvars) if c not in reduced]
+        assert len(kernel) == len(free) == nvars - len(reduced)
+        for f, y in zip(free, kernel):
+            assert y[f] == 1 and set(y) - set(reduced) == {f}
+            assert all(y.values())
+        orthogonal = {
+            vec
+            for vec in itertools.product(range(3), repeat=nvars)
+            if all(sum(v * row.get(c, 0) for c, v in enumerate(vec)) % 3 == 0
+                   for row in rows)
+        }
+        assert _span_by_enumeration(kernel, nvars, 3) == orthogonal
 
 
 # -- cocycles -------------------------------------------------------------

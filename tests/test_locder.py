@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import json
 import random
@@ -44,10 +45,12 @@ from helpers import (
     DIAMOND,
     SINGLETON,
     chain,
+    leibniz_kernel_basis,
     leibniz_on_units,
     random_derivation,
     random_element,
     scan_endomorphisms,
+    small_posets,
 )
 
 # One poset of each shape with at most four comparable pairs.
@@ -524,8 +527,9 @@ def test_enumerate_degenerate_posets():
 
 
 def test_enumerate_endo_cap():
-    # The 2-chain over GF(3) has 3^9 endomorphisms but 3^3 probes, and
-    # the cap bounds the probes the rank computation can walk.
+    # The 2-chain over GF(3) has 3^9 endomorphisms and 3^3 exhaustive
+    # probes.  The rank computation walks only T(P), but the cap is still
+    # charged the exhaustive probes, so enumerate refuses what it always has.
     with pytest.raises(CapExceededError, match="--probe-cap"):
         theorem_verify_enumerate(CHAIN2, 3, probe_cap=26)
     assert theorem_verify_enumerate(CHAIN2, 3, probe_cap=27).verdict == "confirmed"
@@ -543,8 +547,8 @@ def test_enumerate_matches_endomorphism_scan():
 
 
 def test_enumerate_walks_units_before_denser_probes():
-    # Der is zero on an antichain and the 18 units alone saturate the
-    # rank, but the digit order reaches the unit e_t only at probe 2^t.
+    # Der is zero on an antichain, whose T(P) is its 18 units alone, so
+    # the rank computation takes 18 probes, not the 2^18 exhaustive ones.
     antichain = parse_poset("elements: " + " ".join(f"a{t}" for t in range(18)))
     start = time.perf_counter()
     report = theorem_verify_enumerate(antichain, 2)
@@ -554,14 +558,54 @@ def test_enumerate_walks_units_before_denser_probes():
 
 
 def test_local_dimension_equals_derivation_dimension():
-    # Out of reach of an endomorphism walk: 2^36, 2^81 and 3^64 maps.
-    for poset, ring in ((CHAIN3, GF(2)), (DIAMOND, GF(2)), (CROWN, GF(3))):
+    # Out of reach of an endomorphism walk: 2^36, 2^81 and 3^64 maps, and
+    # infinitely many over q.
+    cases = ((CHAIN3, GF(2)), (DIAMOND, GF(2)), (CROWN, GF(3)), (chain(8), QQ))
+    for poset, ring in cases:
         assert local_dimension(poset, ring) == len(derivation_basis(poset, ring))
 
 
-def test_local_dimension_needs_prime_field():
-    with pytest.raises(RingError):
-        local_dimension(CHAIN2, QQ)
+@functools.lru_cache(maxsize=None)
+def _oracle_dimension(poset, ring):
+    return len(leibniz_kernel_basis(poset, ring))
+
+
+def test_local_dimension_matches_leibniz_oracle():
+    # T(P) saturates over every field, q included: its nullity is the
+    # dimension of the solver-free Leibniz kernel on every poset of at
+    # most four elements.  On the 12-chain it has 78 units, 3 * 66
+    # two-unit probes and 55 chain idempotents.
+    for ring in (GF(2), GF(3), GF(5), QQ):
+        for poset in small_posets(4):
+            assert local_dimension(poset, ring) == _oracle_dimension(poset, ring)
+    assert sum(1 for _ in locder._probe_family(chain(12))) == 331
+
+
+def _probe_kind(poset, probe):
+    if len(probe) == 1:
+        return "unit"
+    if len(probe) == 4:
+        return "chain idempotent"
+    diagonal = sum(i == j for i, j in (poset.ipairs[t] for t in probe))
+    return "point sum" if diagonal == 2 else "corner"
+
+
+@pytest.mark.parametrize("dropped", ["unit", "point sum", "corner", "chain idempotent"])
+def test_probe_family_needs_every_kind(monkeypatch, dropped):
+    # Without any one kind of probe (corner: e_x + e_xy or e_xy + e_y),
+    # T(P) lets some non-derivation through on a poset of at most four
+    # elements.
+    family = locder._probe_family
+    monkeypatch.setattr(
+        locder,
+        "_probe_family",
+        lambda poset: (p for p in family(poset) if _probe_kind(poset, p) != dropped),
+    )
+    assert any(
+        local_dimension(poset, ring) != _oracle_dimension(poset, ring)
+        for ring in (GF(2), GF(3), QQ)
+        for poset in small_posets(4)
+    )
 
 
 def test_enumerate_refutes_when_dimensions_differ(monkeypatch):
