@@ -56,8 +56,7 @@ def _read_poset(path):
     return parse_poset(text)
 
 
-def _read_endo(poset, args):
-    path = args.map
+def _read_endo(poset, path):
     with open(path, encoding="utf-8") as handle:
         # Bad UTF-8, bad JSON syntax and integer literals longer than
         # int() converts raise ValueError; nesting deeper than the
@@ -66,13 +65,7 @@ def _read_endo(poset, args):
             obj = json.load(handle)
         except (ValueError, RecursionError) as exc:
             raise AlgebraError(f"{path} is not a readable map JSON: {exc}") from None
-    d = deriv.endo_from_json(poset, obj)
-    if args.ring is not None and parse_ring(args.ring) != d.ring:
-        raise RingError(
-            f"--ring {args.ring} disagrees with the map's ring"
-            f" {d.ring.designator()}"
-        )
-    return d
+    return deriv.endo_from_json(poset, obj)
 
 
 def _json(payload):
@@ -168,7 +161,7 @@ def _cmd_der_h1(poset, args):
 
 
 def _cmd_der_decompose(poset, args):
-    d = _read_endo(poset, args)
+    d = _read_endo(poset, args.map)
     dec = deriv.decompose(d)
     payload = dec.to_json()
     lines = [
@@ -194,7 +187,7 @@ def _verdict_exit(verdict: str) -> int:
 def _cmd_locder_verify(poset, args):
     from . import locder
 
-    d = _read_endo(poset, args)
+    d = _read_endo(poset, args.map)
     if args.mode == "exhaustive":
         report = locder.check_local_exhaustive(d, probe_cap=args.probe_cap)
     else:
@@ -213,7 +206,7 @@ def _cmd_locder_verify(poset, args):
 def _cmd_locder_lemmas(poset, args):
     from . import locder
 
-    d = _read_endo(poset, args)
+    d = _read_endo(poset, args.map)
     report = locder.lemma_conformance(d, seed=args.seed)
     payload = report.to_json()
     lines = [f"ring: {report.ring}"]
@@ -276,9 +269,9 @@ _VERBS = {
     ("poset", "check"): (_cmd_poset_check,),
     ("der", "basis"): (_cmd_der_basis, _ring("q")),
     ("der", "h1"): (_cmd_der_h1, _ring("q")),
-    ("der", "decompose"): (_cmd_der_decompose, _MAP, _ring(None)),
-    ("locder", "verify"): (_cmd_locder_verify, _MAP, _ring(None), _MODE, _SEED, _CAP),
-    ("locder", "lemmas"): (_cmd_locder_lemmas, _MAP, _ring(None), _SEED),
+    ("der", "decompose"): (_cmd_der_decompose, _MAP),
+    ("locder", "verify"): (_cmd_locder_verify, _MAP, _MODE, _SEED, _CAP),
+    ("locder", "lemmas"): (_cmd_locder_lemmas, _MAP, _SEED),
     ("theorem", "enumerate"): (_cmd_theorem_enumerate, _ring("zp:2"), _CAP),
     ("theorem", "random"): (_cmd_theorem_random, _ring("q"), _TRIALS, _SEED, _CAP),
 }

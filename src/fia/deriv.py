@@ -26,7 +26,7 @@ from itertools import chain
 from . import _linalg
 from .fialg import AlgebraError, FiElement, _check_compatible, convolve, unit
 from .poset import Poset
-from .scalars import CoeffRing
+from .scalars import CoeffRing, parse_ring
 
 
 def _canonical_json(obj) -> str:
@@ -171,8 +171,6 @@ class LinearEndo:
 
 
 def endo_from_json(poset: Poset, obj) -> LinearEndo:
-    from .scalars import parse_ring
-
     if not isinstance(obj, dict) or not {"ring", "poset_hash", "columns"} <= set(obj):
         raise AlgebraError("map JSON needs 'ring', 'poset_hash' and 'columns'")
     if obj["poset_hash"] != poset.digest():
@@ -217,17 +215,15 @@ def _cocycle_rows(poset: Poset, ring: CoeffRing):
 
     A cocycle is additive across every factorization: sigma(i, k) +
     sigma(k, j) = sigma(i, j) for i <= k <= j.  With k = i or k = j that
-    says sigma(i, i) = 0.  Of the others only those where k covers i are
-    yielded: they imply the rest, by induction on the length of [i, k].
+    says sigma(i, i) = 0.  Of the others only the cover chains, k covering
+    i, are yielded: they imply the rest, by induction on the length of [i, k].
     """
     pos = poset.pair_pos
     one, minus_one = ring.one, ring.neg(ring.one)
     for i in range(len(poset)):
         yield {pos(i, i): one}
-    for i, j in poset.ipairs:
-        for k in poset.interval_idx(i, j):
-            if i != k != j and len(poset.interval_idx(i, k)) == 2:
-                yield {pos(i, k): one, pos(k, j): one, pos(i, j): minus_one}
+    for i, k, j in poset.cover_chains():
+        yield {pos(i, k): one, pos(k, j): one, pos(i, j): minus_one}
 
 
 def is_cocycle(sigma: FiElement) -> bool:

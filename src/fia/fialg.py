@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poset import Poset, PosetError
-from .scalars import CoeffRing, RingMismatchError
+from .scalars import CoeffRing, RingMismatchError, parse_ring
 
 
 class AlgebraError(ValueError):
@@ -260,8 +260,6 @@ def restrict(a: FiElement, x: str, y: str) -> FiElement:
 
 def element_from_json(poset: Poset, obj) -> FiElement:
     """Parse element JSON; rejects bad pairs, duplicates and zero values."""
-    from .scalars import parse_ring
-
     if not isinstance(obj, dict) or "ring" not in obj or "entries" not in obj:
         raise AlgebraError("element JSON needs 'ring' and 'entries'")
     ring = parse_ring(obj["ring"])

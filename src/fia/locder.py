@@ -14,9 +14,9 @@ Both verify modes run one scan over a probe family: exhaustive probes
 every element of the algebra over a prime field, spanning probes the
 structured families (units, subset idempotents, the chain elements
 e_xy + e_yz - e_xz - e_y, seeded random elements) and never certifies.
-A family longer than the probe cap is refused; a derivation passes every
-probe without a scan, and any other map is scanned up to its first
-witness-less probe, which the scan hands back with its index.
+A family longer than the probe cap, which never picks it, is refused; a
+derivation passes every probe without a scan, and any other map is
+scanned up to its first witness-less probe, handed back with its index.
 
 The theorem harnesses compare Loc with Der by rank or by seeded random
 campaigns.  local_dimension reads dim Loc over any field off the linear
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from itertools import chain, combinations, product
-from math import comb
+from math import comb, log10
 
 from . import _linalg
 from .deriv import (
@@ -64,6 +64,8 @@ DEFAULT_PROBE_CAP = 1 << 20
 # A random campaign holds 2 * trials sample maps at once, each charged npairs^2
 # scalars but at least 16, as a map's fixed 118 B would hold 15 8-byte entries.
 CAMPAIGN_SCALAR_CAP = 1 << 20
+# Python's default int_max_str_digits: the longest p^(npairs^2) enumerate writes.
+ENDO_DIGIT_CAP = 4300
 SPANNING_RANDOM_PROBES = 32
 SPANNING_SUBSET_LIMIT = 12
 # Random elements and subset masks that lemma_conformance draws.
@@ -198,32 +200,38 @@ def _first_witnessless(d: LinearEndo, vectors):
     return None
 
 
-def _refuse_over_cap(total: int, cap: int, mode: str) -> None:
+def _refuse_over_cap(poset, ring, family: str, cap: int | None) -> int:
+    """The length of a probe family, refused above cap (None: the default)."""
+    if family == "exhaustive":
+        total = ring.p**poset.npairs
+    elif family == "spanning":
+        total = _spanning_count(poset)
+    else:
+        total = sum(1 for _ in _probe_family(poset))
+    cap = DEFAULT_PROBE_CAP if cap is None else cap
     if total > cap:
         raise CapExceededError(
-            f"{total} {mode} probes exceed the cap of {cap};"
+            f"{total} {family} probes exceed the cap of {cap};"
             " raise --probe-cap to allow"
         )
+    return total
 
 
-def _check_local(d, derivation, mode, cap, seed=None):
+def _check_local(d, derivation, mode, total, seed=None):
     """The probe scan behind both verify modes; derivation is is_derivation(d).
 
-    A family of more than cap probes is refused, never cut short.  A
-    derivation is its own witness at every probe, so it passes all of
-    them without a scan; any other map is scanned up to its first
-    witness-less probe, which is attached and which probes_checked counts.
-    Passing every probe is local_derivation in exhaustive mode and only
-    inconclusive in spanning mode.
+    The caller has charged the family's total probes to the cap, so it
+    is walked whole or not at all.  A derivation is its own witness at
+    every probe, so it passes all of them without a scan; any other map
+    is scanned up to its first witness-less probe, which is attached and
+    which probes_checked counts.  Passing every probe is local_derivation
+    in exhaustive mode and only inconclusive in spanning mode.
     """
     poset, ring = d.poset, d.ring
     if mode == "exhaustive":
-        p, n = ring.p, poset.npairs
-        total, vectors = p**n, _digit_vectors(p, n)
+        vectors = _digit_vectors(ring.p, poset.npairs)
     else:
-        total = _spanning_count(poset)
         vectors = (_dense_vector(poset, a) for a in _spanning_probes(poset, ring, seed))
-    _refuse_over_cap(total, DEFAULT_PROBE_CAP if cap is None else cap, mode)
     designator = ring.designator()
     fail = None if derivation else _first_witnessless(d, vectors)
     if fail is None:
@@ -261,7 +269,8 @@ def check_local_exhaustive(
     """
     if d.ring.kind != "zp":
         raise RingError("exhaustive probing needs a zp ring")
-    return _check_local(d, is_derivation(d), "exhaustive", probe_cap)
+    total = _refuse_over_cap(d.poset, d.ring, "exhaustive", probe_cap)
+    return _check_local(d, is_derivation(d), "exhaustive", total)
 
 
 # -- spanning probes -------------------------------------------------------
@@ -318,7 +327,8 @@ def check_local_spanning(
     Passing every probe proves nothing, so the positive verdict is only
     inconclusive; a witness-less probe still rejects soundly.
     """
-    return _check_local(d, is_derivation(d), "spanning", probe_cap, seed)
+    total = _refuse_over_cap(d.poset, d.ring, "spanning", probe_cap)
+    return _check_local(d, is_derivation(d), "spanning", total, seed)
 
 
 # -- lemma conformance -----------------------------------------------------
@@ -418,11 +428,8 @@ def _probe_family(poset: Poset):
         if x != y:
             xx, xy, yy = pos(x, x), pos(x, y), pos(y, y)
             yield from ((xx, yy), (xx, xy), (xy, yy))
-    for a, b in poset.covers:
-        x, y = poset.index(a), poset.index(b)
-        for z in range(len(poset)):
-            if z != y and poset.leq_idx(y, z):
-                yield pos(x, y), pos(x, z), pos(y, y), pos(y, z)
+    for x, y, z in poset.cover_chains():
+        yield pos(x, y), pos(x, z), pos(y, y), pos(y, z)
 
 
 def local_dimension(poset: Poset, ring: CoeffRing) -> int:
@@ -455,13 +462,14 @@ def theorem_verify_enumerate(
 
     Both are subspaces, so they hold p^dim Der and p^dim Loc maps and
     coincide iff the dimensions agree; probes_checked counts the maps.
-    local_dimension walks only T(P), so the cap bounds no walk; it is
-    still charged the p^npairs exhaustive probes, as verify is.
+    The cap is charged the |T(P)| probes that local_dimension walks, and
+    a count of more than ENDO_DIGIT_CAP digits is refused before any work.
     """
     ring = GF(prime)
     n = poset.npairs
-    cap = DEFAULT_PROBE_CAP if probe_cap is None else probe_cap
-    _refuse_over_cap(prime**n, cap, "exhaustive")
+    _refuse_over_cap(poset, ring, "T(P)", probe_cap)
+    if n * n * log10(prime) >= ENDO_DIGIT_CAP:
+        raise CapExceededError(f"{prime}^{n * n} endos exceed {ENDO_DIGIT_CAP} digits")
     total = prime ** (n * n)
     dim_der = derivation_dimension(poset, ring)
     dim_loc = local_dimension(poset, ring)
@@ -495,23 +503,22 @@ def theorem_verify_random(
 
     Random derivations (combinations of the derivation basis) must pass
     the local checks and decompose exactly with a cocycle diagonal part;
-    random non-derivations must be rejected.  Over a prime field within
-    the probe cap the local check is exhaustive, otherwise spanning; a
-    spanning family longer than the cap is refused, since a truncated
-    one can let a non-derivation through.
+    random non-derivations must be rejected.  The local check is
+    exhaustive over zp:P if p^npairs <= DEFAULT_PROBE_CAP, else spanning;
+    before any sample, a family longer than probe_cap is refused, since
+    a truncated one can let a non-derivation through.
     """
     if trials < 1:
         raise AlgebraError(f"a campaign needs trials >= 1, got {trials}")
-    cap = DEFAULT_PROBE_CAP if probe_cap is None else probe_cap
     n = poset.npairs
     if trials * max(n * n, 16) > CAMPAIGN_SCALAR_CAP:
         raise CapExceededError(
             f"{trials} trials of {n}x{n} sample maps, at least 16 scalars each,"
             f" exceed the cap of {CAMPAIGN_SCALAR_CAP} scalars; lower --trials"
         )
-    mode = "exhaustive" if ring.kind == "zp" and ring.p**n <= cap else "spanning"
-    if mode == "spanning":
-        _refuse_over_cap(_spanning_count(poset), cap, mode)
+    exhaustive = ring.kind == "zp" and ring.p**n <= DEFAULT_PROBE_CAP
+    mode = "exhaustive" if exhaustive else "spanning"
+    total = _refuse_over_cap(poset, ring, mode, probe_cap)
     der_rows = _derivation_rref(poset, ring).values()
     rng = random.Random(seed)
 
@@ -527,7 +534,7 @@ def theorem_verify_random(
     for k, (d, span_seed) in enumerate(zip(samples, seeds)):
         # Non-derivations met is_derivation while being sampled.
         derivation = k < trials and is_derivation(d)
-        report = _check_local(d, derivation, mode, cap, span_seed)
+        report = _check_local(d, derivation, mode, total, span_seed)
         local = report.verdict != VERDICT_REJECTED
         confirmed = confirmed and (derivation and local if k < trials else not local)
         s_loc += local

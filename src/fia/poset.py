@@ -44,7 +44,7 @@ class Poset:
     """An immutable finite poset on string labels."""
 
     __slots__ = (
-        "elements", "covers", "_idx", "_up", "_down",
+        "elements", "covers", "_icovers", "_idx", "_up", "_down",
         "_ipairs", "_pair_pos", "_topo",
     )
 
@@ -90,21 +90,20 @@ class Poset:
 
         # Transitive reduction: drop strict relations with a middle point.
         strict = [up[i] ^ (1 << i) for i in range(n)]
-        covers = []
+        icovers = []
         for i in range(n):
             twostep = 0
             for z in _bits(strict[i]):
                 twostep |= strict[z]
-            for j in _bits(strict[i] & ~twostep):
-                covers.append((elements[i], elements[j]))
-        covers.sort(key=lambda c: (idx[c[0]], idx[c[1]]))
+            icovers.extend((i, j) for j in _bits(strict[i] & ~twostep))
 
         ipairs = tuple(
             (i, j) for i in range(n) for j in range(n) if up[i] >> j & 1
         )
 
         self.elements = elements
-        self.covers = tuple(covers)
+        self.covers = tuple((elements[i], elements[j]) for i, j in icovers)
+        self._icovers = tuple(icovers)
         self._idx = idx
         self._up = tuple(up)
         self._down = tuple(down)
@@ -164,6 +163,12 @@ class Poset:
                 f"{self.elements[i]!r} and {self.elements[j]!r}"
                 " are not comparable in order"
             ) from None
+
+    def cover_chains(self):
+        """Index triples (x, y, z), y covering x and y < z, by cover, then z."""
+        for x, y in self._icovers:
+            for z in _bits(self._up[y] ^ (1 << y)):
+                yield x, y, z
 
     @property
     def topo_order(self) -> tuple[int, ...]:

@@ -222,15 +222,6 @@ def test_locder_verify_exhaustive_needs_zp(capsys, chain3_file, good_map_file):
     assert "zp" in capsys.readouterr().err
 
 
-def test_locder_verify_ring_conflict(capsys, chain3_file, good_map_file):
-    code = run(
-        ["locder", "verify", chain3_file, good_map_file,
-         "--mode", "spanning", "--ring", "zp:5"]
-    )
-    assert code == 2
-    assert "disagrees" in capsys.readouterr().err
-
-
 def test_locder_verify_probe_cap_exit_2(capsys, chain2_file, z2_map_file):
     # Both families on the 2-chain are longer than 4 (8 and 39 probes);
     # neither is cut short.
@@ -254,14 +245,29 @@ def test_probe_cap_must_be_positive(capsys, chain2_file, z2_map_file):
 
 
 def test_theorem_random_refuses_truncated_spanning_family(capsys, chain2_file):
-    # With one probe the spanning check cannot reject the non-derivation
-    # samples, which a campaign would count as counterexamples.
+    # The 2-chain over zp:2 takes the 2^3 exhaustive probes whatever the
+    # cap, and a cap of one refuses that family rather than cut it short
+    # or swap it for another.
     code = run(
         ["theorem", "random", chain2_file, "--ring", "zp:2",
          "--probe-cap", "1", "--trials", "5"]
     )
     assert code == 2
     assert "--probe-cap" in capsys.readouterr().err
+
+
+def test_theorem_random_cap_never_picks_the_family(capsys, chain3_file):
+    # The input picks the family: the 3-chain over zp:2 is probed
+    # exhaustively (2^6 = 64 probes), so a cap of one refuses it and
+    # does not switch the campaign to the spanning family.
+    code = run(
+        ["theorem", "random", chain3_file, "--ring", "zp:2", "--trials", "2",
+         "--probe-cap", "1"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "64 exhaustive probes exceed the cap of 1" in captured.err
 
 
 def test_theorem_random_refuses_huge_trials_at_once(capsys, tmp_path, chain2_file):
@@ -483,16 +489,41 @@ def test_theorem_enumerate_rejects_rationals(capsys, chain2_file):
 
 
 def test_theorem_enumerate_cap_exit_2(capsys, chain2_file):
-    # The 2-chain over zp:3 has 3^3 = 27 exhaustive probes.  The rank
-    # computation walks only T(P), but the cap is still charged them.
+    # The rank computation walks the |T(P)| = 6 probes of the 2-chain
+    # (3 units and 3 sums for its one strict pair), and the cap is
+    # charged them, not the 3^3 exhaustive probes.
     code = run(
         ["theorem", "enumerate", chain2_file, "--ring", "zp:3",
-         "--probe-cap", "26"]
+         "--probe-cap", "5"]
     )
     assert code == 2
-    assert "--probe-cap" in capsys.readouterr().err
+    assert "6 T(P) probes exceed the cap of 5" in capsys.readouterr().err
     argv = ["theorem", "enumerate", chain2_file, "--ring", "zp:3"]
-    assert run(argv + ["--probe-cap", "27"]) == 0
+    assert run(argv + ["--probe-cap", "6"]) == 0
+
+
+def test_theorem_enumerate_six_chain_at_the_default_cap(capsys, tmp_path):
+    # 2^21 exhaustive probes, above the default cap, but only 76 in T(P).
+    assert run(["theorem", "enumerate", chain_file(tmp_path, 6)]) == 0
+    assert "verdict: confirmed" in capsys.readouterr().out
+
+
+def test_theorem_enumerate_refuses_an_unwritable_count(capsys, tmp_path):
+    # The count 2^(npairs^2) has 4,263 digits at 119 pairs (the 14-chain
+    # and 14 points) and 4,335 at 120 (the 15-chain), above the 4,300
+    # that Python writes; that is refused before any work, never a crash.
+    labels = [f"c{i}" for i in range(14)]
+    text = "elements: " + " ".join(labels + [f"p{i}" for i in range(14)]) + "\n"
+    text += "".join(f"{a} < {b}\n" for a, b in zip(labels, labels[1:]))
+    path = tmp_path / "chain14_points.poset"
+    path.write_text(text)
+    assert run(["theorem", "enumerate", str(path)]) == 0
+    endos = capsys.readouterr().out.splitlines()[-1]
+    assert endos == f"endos: {2 ** (119 * 119)}"
+    assert run(["theorem", "enumerate", chain_file(tmp_path, 15)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 2^14400 endos exceed 4300 digits\n"
 
 
 def test_theorem_enumerate_three_chain_mod_two(capsys, chain3_file):
@@ -556,13 +587,12 @@ VERB_DEFAULTS = {
     "poset check": ((), {}),
     "der basis": ((), {"ring": "q"}),
     "der h1": ((), {"ring": "q"}),
-    "der decompose": (("m.json",), {"map": "m.json", "ring": None}),
+    "der decompose": (("m.json",), {"map": "m.json"}),
     "locder verify": (
         ("m.json",),
-        {"map": "m.json", "ring": None, "mode": "exhaustive", "seed": 0,
-         "probe_cap": None},
+        {"map": "m.json", "mode": "exhaustive", "seed": 0, "probe_cap": None},
     ),
-    "locder lemmas": (("m.json",), {"map": "m.json", "ring": None, "seed": 0}),
+    "locder lemmas": (("m.json",), {"map": "m.json", "seed": 0}),
     "theorem enumerate": ((), {"ring": "zp:2", "probe_cap": None}),
     "theorem random": (
         (), {"ring": "q", "trials": 50, "seed": 0, "probe_cap": None}

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from fia import locder
+from fia import deriv, locder
 from fia.deriv import (
     LinearEndo,
     _derivation_rref,
@@ -527,12 +527,12 @@ def test_enumerate_degenerate_posets():
 
 
 def test_enumerate_endo_cap():
-    # The 2-chain over GF(3) has 3^9 endomorphisms and 3^3 exhaustive
-    # probes.  The rank computation walks only T(P), but the cap is still
-    # charged the exhaustive probes, so enumerate refuses what it always has.
+    # The 2-chain over GF(3) has 3^9 endomorphisms, but the rank
+    # computation walks only the 6 probes of T(P), and the cap is
+    # charged those.
     with pytest.raises(CapExceededError, match="--probe-cap"):
-        theorem_verify_enumerate(CHAIN2, 3, probe_cap=26)
-    assert theorem_verify_enumerate(CHAIN2, 3, probe_cap=27).verdict == "confirmed"
+        theorem_verify_enumerate(CHAIN2, 3, probe_cap=5)
+    assert theorem_verify_enumerate(CHAIN2, 3, probe_cap=6).verdict == "confirmed"
 
 
 def test_enumerate_matches_endomorphism_scan():
@@ -606,6 +606,38 @@ def test_probe_family_needs_every_kind(monkeypatch, dropped):
         for ring in (GF(2), GF(3), QQ)
         for poset in small_posets(4)
     )
+
+
+def test_cocycle_rows_and_chain_idempotents_share_their_triples():
+    # Step 3 of the saturation proof matches each chain idempotent
+    # e_xy + e_xz + e_y + e_yz with the cocycle row sigma(x, y) + sigma(y, z)
+    # - sigma(x, z), so both must run over the triples x < y < z with y
+    # covering x, and over nothing else.
+    ring = GF(3)
+    for poset in small_posets(4):
+        ipairs = poset.ipairs
+        rows = []
+        for row in deriv._cocycle_rows(poset, ring):
+            if len(row) == 1:
+                continue
+            (x, z), = (ipairs[t] for t, v in row.items() if v == ring.neg(ring.one))
+            (y,) = (j for i, j in (ipairs[t] for t in row) if i == x and j != z)
+            rows.append((x, y, z))
+        chains = []
+        for probe in locder._probe_family(poset):
+            if len(probe) == 4:
+                pairs = {ipairs[t] for t in probe}
+                (y,) = (i for i, j in pairs if i == j)
+                (x,) = (i for i, j in pairs if j == y and i != y)
+                (z,) = (j for i, j in pairs if i == y and j != y)
+                assert pairs == {(x, y), (x, z), (y, y), (y, z)}
+                chains.append((x, y, z))
+        covers = {(x, y) for x, y in ipairs if len(poset.interval_idx(x, y)) == 2}
+        expected = sorted(
+            (x, y, z) for x, y in covers for z in range(len(poset))
+            if z != y and poset.leq_idx(y, z)
+        )
+        assert sorted(rows) == sorted(chains) == expected
 
 
 def test_enumerate_refutes_when_dimensions_differ(monkeypatch):
