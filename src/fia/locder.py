@@ -10,19 +10,18 @@ local_dimension takes their annihilators.  The condition is linear in d,
 so the local derivations form a subspace Loc containing the derivations
 Der.
 
-Both verify modes run one scan over a probe family: exhaustive probes
-every element of the algebra over a prime field, spanning probes the
+A derivation passes every probe without a scan, and any other map is
+scanned up to its first witness-less probe; a family longer than the
+probe cap, which never picks it, is refused.  Verify's exhaustive mode
+probes every element over a prime field; its spanning mode probes the
 structured families (units, subset idempotents, the chain elements
 e_xy + e_yz - e_xz - e_y, seeded random elements) and never certifies.
-A family longer than the probe cap, which never picks it, is refused; a
-derivation passes every probe without a scan, and any other map is
-scanned up to its first witness-less probe, handed back with its index.
 
-The theorem harnesses compare Loc with Der by rank or by seeded random
-campaigns.  local_dimension reads dim Loc over any field off the linear
-probe family T(P), and enumerate compares it with dim Der over a prime
-field, settling all p^(n^2) endomorphisms at once.  Everything runs in
-one process, in a fixed order, so a report depends only on its inputs.
+Both theorem harnesses rest on T(P), which saturates over any field:
+local_dimension reads dim Loc off it, enumerate compares that with dim
+Der over a prime field, and the campaign scans each sampled
+non-derivation over it.  Everything runs in one process, in a fixed
+order, so a report depends only on its inputs.
 
 Each report is declared once.  The verify and theorem reports write
 their set fields through one to_json, and the lemma checks are one
@@ -32,6 +31,7 @@ table of named results, each computed by one predicate.
 from __future__ import annotations
 
 import random
+import sys
 from itertools import chain, combinations, product
 from math import comb, log10
 
@@ -64,8 +64,6 @@ DEFAULT_PROBE_CAP = 1 << 20
 # A random campaign holds 2 * trials sample maps at once, each charged npairs^2
 # scalars but at least 16, as a map's fixed 118 B would hold 15 8-byte entries.
 CAMPAIGN_SCALAR_CAP = 1 << 20
-# Python's default int_max_str_digits: the longest p^(npairs^2) enumerate writes.
-ENDO_DIGIT_CAP = 4300
 SPANNING_RANDOM_PROBES = 32
 SPANNING_SUBSET_LIMIT = 12
 # Random elements and subset masks that lemma_conformance draws.
@@ -217,23 +215,24 @@ def _refuse_over_cap(poset, ring, family: str, cap: int | None) -> int:
     return total
 
 
-def _check_local(d, derivation, mode, total, seed=None):
-    """The probe scan behind both verify modes; derivation is is_derivation(d).
+def _check_local(d, mode, probe_cap, seed=None):
+    """The probe scan behind both verify modes.
 
-    The caller has charged the family's total probes to the cap, so it
-    is walked whole or not at all.  A derivation is its own witness at
+    The family's length is charged to probe_cap first, so it is walked
+    whole or not at all.  A derivation is its own witness at
     every probe, so it passes all of them without a scan; any other map
     is scanned up to its first witness-less probe, which is attached and
     which probes_checked counts.  Passing every probe is local_derivation
     in exhaustive mode and only inconclusive in spanning mode.
     """
     poset, ring = d.poset, d.ring
+    total = _refuse_over_cap(poset, ring, mode, probe_cap)
     if mode == "exhaustive":
         vectors = _digit_vectors(ring.p, poset.npairs)
     else:
         vectors = (_dense_vector(poset, a) for a in _spanning_probes(poset, ring, seed))
     designator = ring.designator()
-    fail = None if derivation else _first_witnessless(d, vectors)
+    fail = None if is_derivation(d) else _first_witnessless(d, vectors)
     if fail is None:
         verdict = VERDICT_LOCAL if mode == "exhaustive" else VERDICT_INCONCLUSIVE
         return LocalCheckReport(mode, verdict, total, designator, seed=seed)
@@ -269,8 +268,7 @@ def check_local_exhaustive(
     """
     if d.ring.kind != "zp":
         raise RingError("exhaustive probing needs a zp ring")
-    total = _refuse_over_cap(d.poset, d.ring, "exhaustive", probe_cap)
-    return _check_local(d, is_derivation(d), "exhaustive", total)
+    return _check_local(d, "exhaustive", probe_cap)
 
 
 # -- spanning probes -------------------------------------------------------
@@ -327,8 +325,7 @@ def check_local_spanning(
     Passing every probe proves nothing, so the positive verdict is only
     inconclusive; a witness-less probe still rejects soundly.
     """
-    total = _refuse_over_cap(d.poset, d.ring, "spanning", probe_cap)
-    return _check_local(d, is_derivation(d), "spanning", total, seed)
+    return _check_local(d, "spanning", probe_cap, seed)
 
 
 # -- lemma conformance -----------------------------------------------------
@@ -432,6 +429,11 @@ def _probe_family(poset: Poset):
         yield pos(x, y), pos(x, z), pos(y, y), pos(y, z)
 
 
+def _probe_vector(ring: CoeffRing, n: int, probe) -> list:
+    """A T(P) probe as the dense vector _images reads."""
+    return [ring.one if c in probe else ring.zero for c in range(n)]
+
+
 def local_dimension(poset: Poset, ring: CoeffRing) -> int:
     """dim Loc over any field, as the nullity of the conditions of T(P).
 
@@ -444,7 +446,7 @@ def local_dimension(poset: Poset, ring: CoeffRing) -> int:
     der_rows = _derivation_rref(poset, ring).values()
     pivots: dict[int, dict] = {}
     for probe in _probe_family(poset):
-        vec = [ring.one if c in probe else ring.zero for c in range(n)]
+        vec = _probe_vector(ring, n, probe)
         w_a = _linalg.rref(_images(ring, der_rows, vec, n), ring)
         for y in _linalg.nullspace(w_a, n, ring):
             row = {c * n + r: v for c in probe for r, v in y.items()}
@@ -463,13 +465,14 @@ def theorem_verify_enumerate(
     Both are subspaces, so they hold p^dim Der and p^dim Loc maps and
     coincide iff the dimensions agree; probes_checked counts the maps.
     The cap is charged the |T(P)| probes that local_dimension walks, and
-    a count of more than ENDO_DIGIT_CAP digits is refused before any work.
+    a count longer than int_max_str_digits allows is refused before any work.
     """
     ring = GF(prime)
     n = poset.npairs
     _refuse_over_cap(poset, ring, "T(P)", probe_cap)
-    if n * n * log10(prime) >= ENDO_DIGIT_CAP:
-        raise CapExceededError(f"{prime}^{n * n} endos exceed {ENDO_DIGIT_CAP} digits")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and n * n * log10(prime) >= digits:
+        raise CapExceededError(f"{prime}^{n * n} endos exceed {digits} digits")
     total = prime ** (n * n)
     dim_der = derivation_dimension(poset, ring)
     dim_loc = local_dimension(poset, ring)
@@ -499,14 +502,13 @@ def theorem_verify_random(
     seed: int = 0,
     probe_cap: int | None = None,
 ) -> TheoremReport:
-    """Seeded random campaigns for the theorem.
+    """Seeded random campaigns for the theorem, certified over any field.
 
     Random derivations (combinations of the derivation basis) must pass
-    the local checks and decompose exactly with a cocycle diagonal part;
-    random non-derivations must be rejected.  The local check is
-    exhaustive over zp:P if p^npairs <= DEFAULT_PROBE_CAP, else spanning;
-    before any sample, a family longer than probe_cap is refused, since
-    a truncated one can let a non-derivation through.
+    is_derivation, and random non-derivations must fail a probe of T(P),
+    which saturates.  A sample that passes is charged |T(P)| probes and
+    any other its first failing probe's index plus one.  A T(P) longer
+    than probe_cap is refused before any sample is drawn.
     """
     if trials < 1:
         raise AlgebraError(f"a campaign needs trials >= 1, got {trials}")
@@ -516,29 +518,26 @@ def theorem_verify_random(
             f"{trials} trials of {n}x{n} sample maps, at least 16 scalars each,"
             f" exceed the cap of {CAMPAIGN_SCALAR_CAP} scalars; lower --trials"
         )
-    exhaustive = ring.kind == "zp" and ring.p**n <= DEFAULT_PROBE_CAP
-    mode = "exhaustive" if exhaustive else "spanning"
-    total = _refuse_over_cap(poset, ring, mode, probe_cap)
+    total = _refuse_over_cap(poset, ring, "T(P)", probe_cap)
     der_rows = _derivation_rref(poset, ring).values()
     rng = random.Random(seed)
 
-    # One rng draws, in order, the derivations, non-derivations and seeds.
+    # One rng draws, in order, the derivations and the non-derivations.
     samples = [
         _endo_from_rows(poset, ring, [(ring.sample(rng), row) for row in der_rows])
         for _ in range(trials)
     ]
     if len(der_rows) < n * n:
         samples += [_non_derivation(poset, ring, rng) for _ in range(trials)]
-    seeds = [rng.randrange(1 << 32) for _ in samples]
     confirmed, s_loc, probes = True, 0, 0
-    for k, (d, span_seed) in enumerate(zip(samples, seeds)):
+    for k, d in enumerate(samples):
         # Non-derivations met is_derivation while being sampled.
         derivation = k < trials and is_derivation(d)
-        report = _check_local(d, derivation, mode, total, span_seed)
-        local = report.verdict != VERDICT_REJECTED
-        confirmed = confirmed and (derivation and local if k < trials else not local)
-        s_loc += local
-        probes += report.probes_checked
+        vectors = (_probe_vector(ring, n, probe) for probe in _probe_family(poset))
+        fail = None if derivation else _first_witnessless(d, vectors)
+        confirmed = confirmed and (derivation if k < trials else fail is not None)
+        s_loc += fail is None
+        probes += total if fail is None else fail[0] + 1
     return TheoremReport(
         "random",
         VERDICT_CONFIRMED if confirmed else VERDICT_REFUTED,

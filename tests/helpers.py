@@ -255,6 +255,34 @@ def cocycle_by_definition(sigma):
     return True
 
 
+def order_complex_h1(poset, ring):
+    """dim H^1 of the order complex of the poset, from simplicial ranks.
+
+    The simplices are the chains of the poset: points, pairs x < y and
+    triples x < y < z.  H^1 is the kernel of the coboundary d1 on pairs
+    modulo the image of d0 on points, so h1 = #pairs - rank d1 - rank d0,
+    the ranks read off dense_rref of the coboundary matrices.
+    """
+    one, minus_one = ring.one, ring.neg(ring.one)
+    points = range(len(poset))
+    edges = [(x, y) for x, y in poset.ipairs if x != y]
+    column = {edge: t for t, edge in enumerate(edges)}
+    d0 = []
+    for x, y in edges:
+        row = [ring.zero] * len(points)
+        row[x], row[y] = minus_one, one
+        d0.append(row)
+    d1 = []
+    for x, y in edges:
+        for z in points:
+            if (y, z) in column:
+                row = [ring.zero] * len(edges)
+                row[column[(y, z)]] = row[column[(x, y)]] = one
+                row[column[(x, z)]] = minus_one
+                d1.append(row)
+    return len(edges) - len(dense_rref(d1, ring)) - len(dense_rref(d0, ring))
+
+
 def child_env():
     """The environment for a child Python that imports fia from this tree."""
     src = str(Path(fia.__file__).resolve().parents[1])

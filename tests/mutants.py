@@ -1,0 +1,167 @@
+"""Committed mutants of the verdict paths, and a runner that must see each killed.
+
+Each mutant names a file under src/fia, an exact old text that must occur
+there exactly once, its replacement, and the tests that must fail once
+the replacement is made.  The runner copies src/, tests/ and
+pyproject.toml to a temporary directory, applies one mutant to the copy,
+runs that mutant's tests there and reads their outcomes from a JUnit XML
+report.  The same tests first run once on an unmutated copy, where all
+must pass, so a failure is the mutant's doing.  It exits 1 if any mutant
+survives (one of its tests passes) or cannot be applied, and 0 when every
+mutant is killed:
+
+    python3 tests/mutants.py
+
+pytest does not collect this file; tests/test_mutants.py checks in tier-1
+that every old text still occurs exactly once, so a refactor has to
+carry its mutants along.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fia"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "campaign scans unit probes only",
+        "locder.py",
+        "for probe in _probe_family(poset))",
+        "for probe in _probe_family(poset) if len(probe) == 1)",
+        ("tests/test_locder.py::test_random_campaign_rejects_patchworks_that_pass_every_unit",),
+    ),
+    Mutant(
+        "_derivation_rref drops the D_sigma rows",
+        "deriv.py",
+        "rows = chain(_commutator_rows(poset, ring), diagonal_maps)",
+        "rows = _commutator_rows(poset, ring)",
+        (
+            "tests/test_deriv.py::test_dimensions_match_the_order_complex",
+            "tests/test_deriv.py::test_h1_crown_has_outer_derivation",
+        ),
+    ),
+    Mutant(
+        "_split flips the sign of sigma",
+        "deriv.py",
+        "sigma[(u, v)] = s",
+        "sigma[(u, v)] = ring.neg(s)",
+        (
+            "tests/test_deriv.py::test_decompose_recovers_exact_parts",
+            "tests/test_deriv.py::test_decompose_moves_diagonal_into_sigma",
+        ),
+    ),
+    Mutant(
+        "_commutator_rows skips the cancellation at u = v = x = y",
+        "deriv.py",
+        "if row.pop(var, None) is None:\n                row[var] = minus_one",
+        "row[var] = minus_one",
+        (
+            "tests/test_deriv.py::test_bases_match_oracles_on_chains_diamond_and_crown",
+            "tests/test_deriv.py::test_inner_dimension_counts_center",
+        ),
+    ),
+    Mutant(
+        "CoeffRing.__reduce__ removed",
+        "scalars.py",
+        "    def __reduce__(self):\n",
+        "    def _unused_reduce(self):\n",
+        ("tests/test_scalars.py::test_rings_elements_and_maps_pickle_and_deepcopy",),
+    ),
+    Mutant(
+        "enumerate ignores the interpreter's digit limit",
+        "locder.py",
+        'digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()',
+        "digits = 4300",
+        (
+            "tests/test_cli.py::test_theorem_enumerate_refuses_by_the_interpreters_digit_limit",
+        ),
+    ),
+)
+
+
+def _outcomes(report: Path) -> dict[str, bool]:
+    """{test id: passed} from a JUnit XML report of a run at the copy's root."""
+    passed = {}
+    for case in ET.parse(report).iter("testcase"):
+        path = case.get("classname", "").replace(".", "/") + ".py"
+        failed = any(child.tag in ("failure", "error") for child in case)
+        passed[f"{path}::{case.get('name')}"] = not failed
+    return passed
+
+
+def _run(tests, mutant: Mutant | None = None) -> dict[str, bool] | str:
+    """{test id: passed} on a copy of the tree, mutated if given, or why not."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", "*.pyc")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        if mutant is not None:
+            target = copy / "src" / "fia" / mutant.file
+            text = target.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                return f"old text occurs {text.count(mutant.old)} times in {mutant.file}"
+            target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        report = copy / "report.xml"
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env.pop("PYTHONPATH", None)
+        subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"--junitxml={report}", *tests],
+            cwd=copy,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        if not report.exists():
+            return "pytest wrote no report"
+        outcomes = _outcomes(report)
+        missing = [t for t in tests if t not in outcomes]
+        return f"tests not run: {missing}" if missing else outcomes
+
+
+def main() -> int:
+    tests = sorted({t for mutant in MUTANTS for t in mutant.tests})
+    baseline = _run(tests)
+    if isinstance(baseline, str) or not all(baseline.values()):
+        failing = baseline if isinstance(baseline, str) else [
+            t for t, ok in baseline.items() if not ok
+        ]
+        print(f"unmutated tree fails the mutants' tests: {failing}")
+        return 1
+    status = 0
+    for mutant in MUTANTS:
+        outcomes = _run(mutant.tests, mutant)
+        if isinstance(outcomes, str):
+            why = outcomes
+        else:
+            survivors = [t for t in mutant.tests if outcomes[t]]
+            why = f"tests passed: {survivors}" if survivors else None
+        print(f"{'killed ' if why is None else 'SURVIVED'}  {mutant.name}")
+        if why is not None:
+            print(f"          {why}")
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -244,9 +244,9 @@ def test_probe_cap_must_be_positive(capsys, chain2_file, z2_map_file):
         assert flag in capsys.readouterr().err
 
 
-def test_theorem_random_refuses_truncated_spanning_family(capsys, chain2_file):
-    # The 2-chain over zp:2 takes the 2^3 exhaustive probes whatever the
-    # cap, and a cap of one refuses that family rather than cut it short
+def test_theorem_random_refuses_a_truncated_family(capsys, chain2_file):
+    # The 2-chain's campaign walks the 6 probes of its T(P) over every
+    # field, and a cap of one refuses that family rather than cut it short
     # or swap it for another.
     code = run(
         ["theorem", "random", chain2_file, "--ring", "zp:2",
@@ -257,9 +257,8 @@ def test_theorem_random_refuses_truncated_spanning_family(capsys, chain2_file):
 
 
 def test_theorem_random_cap_never_picks_the_family(capsys, chain3_file):
-    # The input picks the family: the 3-chain over zp:2 is probed
-    # exhaustively (2^6 = 64 probes), so a cap of one refuses it and
-    # does not switch the campaign to the spanning family.
+    # The campaign always walks T(P), 16 probes on the 3-chain, so a cap
+    # of one refuses it and does not switch the campaign to another family.
     code = run(
         ["theorem", "random", chain3_file, "--ring", "zp:2", "--trials", "2",
          "--probe-cap", "1"]
@@ -267,7 +266,7 @@ def test_theorem_random_cap_never_picks_the_family(capsys, chain3_file):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "64 exhaustive probes exceed the cap of 1" in captured.err
+    assert "16 T(P) probes exceed the cap of 1" in captured.err
 
 
 def test_theorem_random_refuses_huge_trials_at_once(capsys, tmp_path, chain2_file):
@@ -524,6 +523,31 @@ def test_theorem_enumerate_refuses_an_unwritable_count(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: 2^14400 endos exceed 4300 digits\n"
+
+
+def test_theorem_enumerate_refuses_by_the_interpreters_digit_limit(tmp_path):
+    # The 10-chain's count 2^3025 has 911 digits: a limit of 640 refuses
+    # it with one error line, and a limit of 0 (none) writes even the
+    # 4,335 digits of the 15-chain's 2^14400.
+    def enumerate_under(limit, n):
+        env = child_env()
+        env["PYTHONINTMAXSTRDIGITS"] = limit
+        argv = ["theorem", "enumerate", chain_file(tmp_path, n)]
+        return subprocess.run(
+            [sys.executable, "-m", "fia.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+
+    proc = enumerate_under("640", 10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: 2^3025 endos exceed 640 digits\n"
+    proc = enumerate_under("0", 15)
+    assert proc.returncode == 0
+    endos = proc.stdout.splitlines()[-1]
+    assert endos.startswith("endos: ") and len(endos) == len("endos: ") + 4335
+    assert int(endos[-30:]) == 2**14400 % 10**30
 
 
 def test_theorem_enumerate_three_chain_mod_two(capsys, chain3_file):

@@ -12,6 +12,7 @@ from fia.deriv import (
     decompose,
     _derivation_rref,
     derivation_basis,
+    derivation_dimension,
     endo_from_json,
     h1_dimension,
     idempotent_identity_check,
@@ -47,6 +48,7 @@ from helpers import (
     dense_decomposition,
     leibniz_kernel_basis,
     leibniz_on_units,
+    order_complex_h1,
     random_derivation,
     random_element,
     small_posets,
@@ -244,6 +246,36 @@ def test_h1_vanishes_on_chains_and_diamond():
     assert h1_dimension(CHAIN2, QQ) == 0
     assert h1_dimension(DIAMOND, QQ) == 0
     assert h1_dimension(DIAMOND, GF(2)) == 0
+
+
+def _components(poset):
+    """The connected components of the comparability graph, by union-find."""
+    root = list(range(len(poset)))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for x, y in poset.ipairs:
+        root[find(x)] = find(y)
+    return sum(find(x) == x for x in range(len(poset)))
+
+
+def test_dimensions_match_the_order_complex():
+    # dim Der = npairs - components + dim H^1(order complex), with H^1
+    # read off the simplicial coboundaries by the oracle's own elimination.
+    outer = 0
+    for ring in (QQ, GF(2), GF(3)):
+        for n in (3, 5, 7):
+            for seed in range(100):
+                poset = random_poset(n, 0.35, seed)
+                h1 = order_complex_h1(poset, ring)
+                dim = derivation_dimension(poset, ring)
+                assert dim == poset.npairs - _components(poset) + h1
+                assert h1_dimension(poset, ring) == h1
+                outer += h1 > 0
+    assert outer > 20
 
 
 def test_h1_crown_has_outer_derivation():

@@ -45,6 +45,7 @@ from helpers import (
     DIAMOND,
     SINGLETON,
     chain,
+    dense_rref,
     leibniz_kernel_basis,
     leibniz_on_units,
     random_derivation,
@@ -416,12 +417,14 @@ def test_spanning_count_is_the_untruncated_family_length():
         assert locder._spanning_count(poset) == len(family)
 
 
-def test_random_campaign_refuses_a_truncated_spanning_family():
-    family = locder._spanning_count(CHAIN2)
-    with pytest.raises(CapExceededError, match="probe-cap"):
-        theorem_verify_random(CHAIN2, QQ, trials=3, probe_cap=family - 1)
-    report = theorem_verify_random(CHAIN2, QQ, trials=3, probe_cap=family)
-    assert report.verdict == "confirmed"
+def test_random_campaign_refuses_a_truncated_family():
+    # Every field walks the six probes of the 2-chain's T(P), charged to
+    # the cap before any sample is drawn.
+    for ring in (QQ, GF(2), GF(3)):
+        with pytest.raises(CapExceededError, match="6 T\\(P\\) probes"):
+            theorem_verify_random(CHAIN2, ring, trials=3, probe_cap=5)
+        report = theorem_verify_random(CHAIN2, ring, trials=3, probe_cap=6)
+        assert report.verdict == "confirmed"
 
 
 # -- lemma conformance -------------------------------------------------------
@@ -566,8 +569,12 @@ def test_local_dimension_equals_derivation_dimension():
 
 
 @functools.lru_cache(maxsize=None)
+def _oracle_basis(poset, ring):
+    return leibniz_kernel_basis(poset, ring)
+
+
 def _oracle_dimension(poset, ring):
-    return len(leibniz_kernel_basis(poset, ring))
+    return len(_oracle_basis(poset, ring))
 
 
 def test_local_dimension_matches_leibniz_oracle():
@@ -678,11 +685,64 @@ def test_random_campaign_checks_each_sample_once(monkeypatch):
     assert len({id(d) for d in seen}) == 40
 
 
-def test_random_campaign_prime_field_goes_exhaustive():
-    report = theorem_verify_random(CHAIN2, GF(2), trials=5, seed=1)
-    assert report.verdict == "confirmed"
-    # Each accepted derivation sample walks all 8 probes.
-    assert report.probes_checked >= 5 * 8
+def test_random_campaign_counts_t_of_p_probes():
+    # Each derivation sample is charged all |T(P)| probes (6 on the
+    # 2-chain, 16 on the 3-chain) and each non-derivation the probes up
+    # to its first witness-less one, over every field alike.
+    for poset, family in ((CHAIN2, 6), (CHAIN3, 16)):
+        for ring in (GF(2), GF(3), QQ):
+            report = theorem_verify_random(poset, ring, trials=5, seed=1)
+            assert report.verdict == "confirmed"
+            assert 5 * family + 5 <= report.probes_checked <= 10 * family
+    assert theorem_verify_random(CHAIN3, GF(3), trials=3).probes_checked == 51
+    assert theorem_verify_random(CHAIN2, QQ, trials=3).probes_checked == 21
+
+
+def _patchwork(poset, ring, rng):
+    """A map that passes every unit probe but is no derivation.
+
+    Column c is a combination of the D_k(e_c), for D_k the Leibniz-kernel
+    basis, with coefficients drawn for each column on its own; it is
+    redrawn until the map breaks the Leibniz rule on some pair of units.
+    """
+    basis = _oracle_basis(poset, ring)
+    n = poset.npairs
+    while True:
+        cols = []
+        for c in range(n):
+            col = [ring.zero] * n
+            for b in basis:
+                k = ring.sample(rng)
+                col = [ring.add(v, ring.mul(k, w)) for v, w in zip(col, b.cols[c])]
+            cols.append(col)
+        d = LinearEndo(poset, ring, cols)
+        if not leibniz_on_units(d):
+            return d
+
+
+def test_random_campaign_rejects_patchworks_that_pass_every_unit(monkeypatch):
+    # Only the sums and chain idempotents of T(P) can reject a patchwork,
+    # so a campaign that scanned the units alone would count each one
+    # local and report a refutation.
+    monkeypatch.setattr(locder, "_non_derivation", _patchwork)
+    campaigns = 0
+    for ring in (GF(2), GF(3), QQ):
+        for poset in small_posets(4):
+            basis = _oracle_basis(poset, ring)
+            n = poset.npairs
+            # The patchworks form the direct sum of the W_{e_c}, which holds
+            # Der and is Der when the ranks add up to dim Der.
+            ranks = [len(dense_rref([b.cols[c] for b in basis], ring)) for c in range(n)]
+            if sum(ranks) == len(basis):
+                continue
+            units = [locder._probe_vector(ring, n, (t,)) for t in range(n)]
+            d = _patchwork(poset, ring, random.Random(0))
+            assert _first_witnessless(d, units) is None
+            report = theorem_verify_random(poset, ring, trials=3, seed=4)
+            assert report.verdict == "confirmed"
+            assert report.s_loc == 3
+            campaigns += 1
+    assert campaigns >= 100
 
 
 def test_random_campaign_zero_trials():
