@@ -222,7 +222,7 @@ def _cmd_theorem_enumerate(poset, args):
     ring = parse_ring(args.ring)
     if ring.kind != "zp":
         raise RingError("theorem enumerate needs a zp ring")
-    report = locder.theorem_verify_enumerate(poset, ring.p, probe_cap=args.probe_cap)
+    report = locder.theorem_verify_enumerate(poset, ring.p)
     payload = report.to_json()
     lines = _lines(payload, "ring", "verdict", "s_der", "s_loc")
     lines.append(f"endos: {payload['probes_checked']}")
@@ -233,9 +233,7 @@ def _cmd_theorem_random(poset, args):
     from . import locder
 
     ring = parse_ring(args.ring)
-    report = locder.theorem_verify_random(
-        poset, ring, trials=args.trials, seed=args.seed, probe_cap=args.probe_cap
-    )
+    report = locder.theorem_verify_random(poset, ring, args.trials, args.seed)
     payload = report.to_json()
     lines = _lines(payload, "ring", "verdict", "trials", "seed", "probes_checked")
     return _json(payload), lines, _verdict_exit(report.verdict)
@@ -272,8 +270,8 @@ _VERBS = {
     ("der", "decompose"): (_cmd_der_decompose, _MAP),
     ("locder", "verify"): (_cmd_locder_verify, _MAP, _MODE, _SEED, _CAP),
     ("locder", "lemmas"): (_cmd_locder_lemmas, _MAP, _SEED),
-    ("theorem", "enumerate"): (_cmd_theorem_enumerate, _ring("zp:2"), _CAP),
-    ("theorem", "random"): (_cmd_theorem_random, _ring("q"), _TRIALS, _SEED, _CAP),
+    ("theorem", "enumerate"): (_cmd_theorem_enumerate, _ring("zp:2")),
+    ("theorem", "random"): (_cmd_theorem_random, _ring("q"), _TRIALS, _SEED),
 }
 
 

@@ -11,17 +11,18 @@ so the local derivations form a subspace Loc containing the derivations
 Der.
 
 A derivation passes every probe without a scan, and any other map is
-scanned up to its first witness-less probe; a family longer than the
-probe cap, which never picks it, is refused.  Verify's exhaustive mode
+scanned up to its first witness-less probe.  Verify's exhaustive mode
 probes every element over a prime field; its spanning mode probes the
 structured families (units, subset idempotents, the chain elements
 e_xy + e_yz - e_xz - e_y, seeded random elements) and never certifies.
+A family longer than the probe cap, which never picks it, is refused.
 
 Both theorem harnesses rest on T(P), which saturates over any field:
 local_dimension reads dim Loc off it, enumerate compares that with dim
 Der over a prime field, and the campaign scans each sampled
-non-derivation over it.  Everything runs in one process, in a fixed
-order, so a report depends only on its inputs.
+non-derivation over it.  T(P) is linear in npairs, so no cap is charged
+for it.  Everything runs in one process, in a fixed order, so a report
+depends only on its inputs.
 
 Each report is declared once.  The verify and theorem reports write
 their set fields through one to_json, and the lemma checks are one
@@ -198,23 +199,6 @@ def _first_witnessless(d: LinearEndo, vectors):
     return None
 
 
-def _refuse_over_cap(poset, ring, family: str, cap: int | None) -> int:
-    """The length of a probe family, refused above cap (None: the default)."""
-    if family == "exhaustive":
-        total = ring.p**poset.npairs
-    elif family == "spanning":
-        total = _spanning_count(poset)
-    else:
-        total = sum(1 for _ in _probe_family(poset))
-    cap = DEFAULT_PROBE_CAP if cap is None else cap
-    if total > cap:
-        raise CapExceededError(
-            f"{total} {family} probes exceed the cap of {cap};"
-            " raise --probe-cap to allow"
-        )
-    return total
-
-
 def _check_local(d, mode, probe_cap, seed=None):
     """The probe scan behind both verify modes.
 
@@ -226,11 +210,17 @@ def _check_local(d, mode, probe_cap, seed=None):
     in exhaustive mode and only inconclusive in spanning mode.
     """
     poset, ring = d.poset, d.ring
-    total = _refuse_over_cap(poset, ring, mode, probe_cap)
     if mode == "exhaustive":
+        total = ring.p**poset.npairs
         vectors = _digit_vectors(ring.p, poset.npairs)
     else:
+        total = _spanning_count(poset)
         vectors = (_dense_vector(poset, a) for a in _spanning_probes(poset, ring, seed))
+    cap = DEFAULT_PROBE_CAP if probe_cap is None else probe_cap
+    if total > cap:
+        raise CapExceededError(
+            f"{total} {mode} probes exceed the cap of {cap}; raise --probe-cap to allow"
+        )
     designator = ring.designator()
     fail = None if is_derivation(d) else _first_witnessless(d, vectors)
     if fail is None:
@@ -454,22 +444,18 @@ def local_dimension(poset: Poset, ring: CoeffRing) -> int:
     return n * n - len(pivots)
 
 
-def theorem_verify_enumerate(
-    poset: Poset,
-    prime: int,
-    probe_cap: int | None = None,
-) -> TheoremReport:
+def theorem_verify_enumerate(poset: Poset, prime: int) -> TheoremReport:
     """Compare the derivations with the local derivations among all
     linear endomorphisms over GF(prime).
 
     Both are subspaces, so they hold p^dim Der and p^dim Loc maps and
     coincide iff the dimensions agree; probes_checked counts the maps.
-    The cap is charged the |T(P)| probes that local_dimension walks, and
-    a count longer than int_max_str_digits allows is refused before any work.
+    A count longer than int_max_str_digits allows is refused before any
+    work.  The |T(P)| probes that local_dimension walks are never capped,
+    as they are linear in npairs.
     """
     ring = GF(prime)
     n = poset.npairs
-    _refuse_over_cap(poset, ring, "T(P)", probe_cap)
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits and n * n * log10(prime) >= digits:
         raise CapExceededError(f"{prime}^{n * n} endos exceed {digits} digits")
@@ -500,15 +486,15 @@ def theorem_verify_random(
     ring: CoeffRing,
     trials: int = 50,
     seed: int = 0,
-    probe_cap: int | None = None,
 ) -> TheoremReport:
     """Seeded random campaigns for the theorem, certified over any field.
 
     Random derivations (combinations of the derivation basis) must pass
     is_derivation, and random non-derivations must fail a probe of T(P),
     which saturates.  A sample that passes is charged |T(P)| probes and
-    any other its first failing probe's index plus one.  A T(P) longer
-    than probe_cap is refused before any sample is drawn.
+    any other its first failing probe's index plus one.  T(P) is listed
+    once, as position tuples, and each probe's dense vector is made only
+    when it is scanned; the sample maps are what CAMPAIGN_SCALAR_CAP bounds.
     """
     if trials < 1:
         raise AlgebraError(f"a campaign needs trials >= 1, got {trials}")
@@ -518,7 +504,7 @@ def theorem_verify_random(
             f"{trials} trials of {n}x{n} sample maps, at least 16 scalars each,"
             f" exceed the cap of {CAMPAIGN_SCALAR_CAP} scalars; lower --trials"
         )
-    total = _refuse_over_cap(poset, ring, "T(P)", probe_cap)
+    family = list(_probe_family(poset))
     der_rows = _derivation_rref(poset, ring).values()
     rng = random.Random(seed)
 
@@ -533,11 +519,11 @@ def theorem_verify_random(
     for k, d in enumerate(samples):
         # Non-derivations met is_derivation while being sampled.
         derivation = k < trials and is_derivation(d)
-        vectors = (_probe_vector(ring, n, probe) for probe in _probe_family(poset))
+        vectors = (_probe_vector(ring, n, probe) for probe in family)
         fail = None if derivation else _first_witnessless(d, vectors)
         confirmed = confirmed and (derivation if k < trials else fail is not None)
         s_loc += fail is None
-        probes += total if fail is None else fail[0] + 1
+        probes += len(family) if fail is None else fail[0] + 1
     return TheoremReport(
         "random",
         VERDICT_CONFIRMED if confirmed else VERDICT_REFUTED,

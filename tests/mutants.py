@@ -40,12 +40,16 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+# The two-unit probes of T(P), and the test that each T(P) kind is needed.
+_CORNERS = "yield from ((xx, yy), (xx, xy), (xy, yy))"
+_LEIBNIZ = ("tests/test_locder.py::test_local_dimension_matches_leibniz_oracle",)
+
 MUTANTS = (
     Mutant(
         "campaign scans unit probes only",
         "locder.py",
-        "for probe in _probe_family(poset))",
-        "for probe in _probe_family(poset) if len(probe) == 1)",
+        "family = list(_probe_family(poset))",
+        "family = [probe for probe in _probe_family(poset) if len(probe) == 1]",
         ("tests/test_locder.py::test_random_campaign_rejects_patchworks_that_pass_every_unit",),
     ),
     Mutant(
@@ -93,6 +97,90 @@ MUTANTS = (
         (
             "tests/test_cli.py::test_theorem_enumerate_refuses_by_the_interpreters_digit_limit",
         ),
+    ),
+    Mutant(
+        "enumerate admits a count one digit above the limit",
+        "locder.py",
+        "n * n * log10(prime) >= digits:",
+        "n * n * log10(prime) >= digits + 1:",
+        ("tests/test_locder.py::test_enumerate_endo_cap",),
+    ),
+    Mutant(
+        "verify refuses a family at the probe cap",
+        "locder.py",
+        "if total > cap:",
+        "if total >= cap:",
+        ("tests/test_locder.py::test_exhaustive_probe_cap",),
+    ),
+    Mutant(
+        "the campaign refuses trials at the scalar cap",
+        "locder.py",
+        "if trials * max(n * n, 16) > CAMPAIGN_SCALAR_CAP:",
+        "if trials * max(n * n, 16) >= CAMPAIGN_SCALAR_CAP:",
+        ("tests/test_cli.py::test_scalar_caps_admit_their_bound[campaign]",),
+    ),
+    Mutant(
+        "der basis refuses a basis at the scalar cap",
+        "cli.py",
+        "if scalars > BASIS_SCALAR_CAP:",
+        "if scalars >= BASIS_SCALAR_CAP:",
+        ("tests/test_cli.py::test_scalar_caps_admit_their_bound[basis]",),
+    ),
+    Mutant(
+        "is_derivation skips the cocycle test",
+        "deriv.py",
+        "return next(off_diagonal, None) is None and is_cocycle(sigma)",
+        "return next(off_diagonal, None) is None",
+        ("tests/test_deriv.py::test_cocycle_iff_diagonal_map_is_derivation",),
+    ),
+    Mutant(
+        "_split skips the last column",
+        "deriv.py",
+        "for c, (u, v) in enumerate(ipairs):",
+        "for c, (u, v) in enumerate(ipairs[:-1]):",
+        ("tests/test_deriv.py::test_is_derivation_agrees_with_convolve_leibniz",),
+    ),
+    Mutant(
+        "every strict relation is taken as a cover",
+        "poset.py",
+        "icovers.extend((i, j) for j in _bits(strict[i] & ~twostep))",
+        "icovers.extend((i, j) for j in _bits(strict[i]))",
+        ("tests/test_poset.py::test_transitive_closure_and_reduction",),
+    ),
+    Mutant(
+        "witness_for reads the cached rows, not its caller's basis",
+        "locder.py",
+        "rows = [_endo_row(m) for m in (d, *der_basis)]",
+        "rows = [_endo_row(d), *_derivation_rref(poset, ring).values()]",
+        ("tests/test_locder.py::test_witness_for_against_enumeration_over_gf3",),
+    ),
+    Mutant(
+        "T(P) drops the units",
+        "locder.py",
+        "yield from ((t,) for t in range(poset.npairs))",
+        "yield from ()",
+        _LEIBNIZ,
+    ),
+    Mutant(
+        "T(P) drops the point sums e_x + e_y",
+        "locder.py",
+        _CORNERS,
+        "yield from ((xx, xy), (xy, yy))",
+        _LEIBNIZ,
+    ),
+    Mutant(
+        "T(P) drops the corners e_x + e_xy and e_xy + e_y",
+        "locder.py",
+        _CORNERS,
+        "yield from ((xx, yy),)",
+        _LEIBNIZ,
+    ),
+    Mutant(
+        "T(P) drops the chain idempotents",
+        "locder.py",
+        "yield pos(x, y), pos(x, z), pos(y, y), pos(y, z)",
+        "continue",
+        _LEIBNIZ,
     ),
 )
 

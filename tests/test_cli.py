@@ -235,38 +235,19 @@ def test_locder_verify_probe_cap_exit_2(capsys, chain2_file, z2_map_file):
 
 
 def test_probe_cap_must_be_positive(capsys, chain2_file, z2_map_file):
-    for argv, flag in (
-        (["locder", "verify", chain2_file, z2_map_file], "--probe-cap"),
-        (["theorem", "random", chain2_file, "--ring", "zp:2"], "--probe-cap"),
-        (["theorem", "enumerate", chain2_file], "--probe-cap"),
-    ):
-        assert run(argv + [flag, "-1"]) == 2
-        assert flag in capsys.readouterr().err
+    argv = ["locder", "verify", chain2_file, z2_map_file, "--probe-cap", "-1"]
+    assert run(argv) == 2
+    assert "--probe-cap: must be at least 1" in capsys.readouterr().err
 
 
-def test_theorem_random_refuses_a_truncated_family(capsys, chain2_file):
-    # The 2-chain's campaign walks the 6 probes of its T(P) over every
-    # field, and a cap of one refuses that family rather than cut it short
-    # or swap it for another.
-    code = run(
-        ["theorem", "random", chain2_file, "--ring", "zp:2",
-         "--probe-cap", "1", "--trials", "5"]
-    )
-    assert code == 2
-    assert "--probe-cap" in capsys.readouterr().err
-
-
-def test_theorem_random_cap_never_picks_the_family(capsys, chain3_file):
-    # The campaign always walks T(P), 16 probes on the 3-chain, so a cap
-    # of one refuses it and does not switch the campaign to another family.
-    code = run(
-        ["theorem", "random", chain3_file, "--ring", "zp:2", "--trials", "2",
-         "--probe-cap", "1"]
-    )
-    assert code == 2
+@pytest.mark.parametrize("command", ["enumerate", "random"])
+def test_theorem_verbs_take_no_probe_cap(capsys, chain3_file, command):
+    # Both harnesses walk T(P), linear in npairs, so neither has a cap to
+    # charge it to; the option is unknown there, not ignored.
+    assert run(["theorem", command, chain3_file, "--probe-cap", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "16 T(P) probes exceed the cap of 1" in captured.err
+    assert "unrecognized arguments: --probe-cap 1" in captured.err
 
 
 def test_theorem_random_refuses_huge_trials_at_once(capsys, tmp_path, chain2_file):
@@ -288,6 +269,32 @@ def test_theorem_random_refuses_huge_trials_at_once(capsys, tmp_path, chain2_fil
         assert time.perf_counter() - start < 0.5, path
         assert code == 2, path
         assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cap, bound, verb, options",
+    [
+        # Two 3-chain samples of 6^2 scalars each.
+        ("fia.locder.CAMPAIGN_SCALAR_CAP", 72, "theorem random", ["--trials", "2"]),
+        # The 3-chain's 5 basis maps of 6^2 scalars each.
+        ("fia.cli.BASIS_SCALAR_CAP", 180, "der basis", ["--format", "json"]),
+    ],
+    ids=["campaign", "basis"],
+)
+def test_scalar_caps_admit_their_bound(
+    capsys, monkeypatch, chain3_file, cap, bound, verb, options
+):
+    # Each cap admits a run at exactly its bound and refuses it, before any
+    # output, one scalar lower.
+    argv = verb.split() + [chain3_file] + options
+    monkeypatch.setattr(cap, bound)
+    assert run(argv) == 0
+    assert capsys.readouterr().out
+    monkeypatch.setattr(cap, bound - 1)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cap of {bound - 1}" in captured.err
 
 
 def test_der_basis_text_builds_no_basis(capsys, tmp_path, monkeypatch):
@@ -487,22 +494,8 @@ def test_theorem_enumerate_rejects_rationals(capsys, chain2_file):
     assert "zp" in capsys.readouterr().err
 
 
-def test_theorem_enumerate_cap_exit_2(capsys, chain2_file):
-    # The rank computation walks the |T(P)| = 6 probes of the 2-chain
-    # (3 units and 3 sums for its one strict pair), and the cap is
-    # charged them, not the 3^3 exhaustive probes.
-    code = run(
-        ["theorem", "enumerate", chain2_file, "--ring", "zp:3",
-         "--probe-cap", "5"]
-    )
-    assert code == 2
-    assert "6 T(P) probes exceed the cap of 5" in capsys.readouterr().err
-    argv = ["theorem", "enumerate", chain2_file, "--ring", "zp:3"]
-    assert run(argv + ["--probe-cap", "6"]) == 0
-
-
 def test_theorem_enumerate_six_chain_at_the_default_cap(capsys, tmp_path):
-    # 2^21 exhaustive probes, above the default cap, but only 76 in T(P).
+    # 2^21 exhaustive probes, above verify's default cap, but only 76 in T(P).
     assert run(["theorem", "enumerate", chain_file(tmp_path, 6)]) == 0
     assert "verdict: confirmed" in capsys.readouterr().out
 
@@ -573,7 +566,7 @@ def test_theorem_random_trials_must_be_positive(capsys, chain3_file):
     # Zero or negative trials would make "confirmed" vacuous.
     for trials in ("0", "-5"):
         assert run(["theorem", "random", chain3_file, "--trials", trials]) == 2
-        assert "--trials" in capsys.readouterr().err
+        assert "--trials: must be at least 1" in capsys.readouterr().err
 
 
 def test_out_flag_writes_file(capsys, tmp_path, chain3_file):
@@ -617,10 +610,8 @@ VERB_DEFAULTS = {
         {"map": "m.json", "mode": "exhaustive", "seed": 0, "probe_cap": None},
     ),
     "locder lemmas": (("m.json",), {"map": "m.json", "seed": 0}),
-    "theorem enumerate": ((), {"ring": "zp:2", "probe_cap": None}),
-    "theorem random": (
-        (), {"ring": "q", "trials": 50, "seed": 0, "probe_cap": None}
-    ),
+    "theorem enumerate": ((), {"ring": "zp:2"}),
+    "theorem random": ((), {"ring": "q", "trials": 50, "seed": 0}),
 }
 VERB_OPTIONS = {
     "--ring": "q",

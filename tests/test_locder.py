@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -417,16 +418,6 @@ def test_spanning_count_is_the_untruncated_family_length():
         assert locder._spanning_count(poset) == len(family)
 
 
-def test_random_campaign_refuses_a_truncated_family():
-    # Every field walks the six probes of the 2-chain's T(P), charged to
-    # the cap before any sample is drawn.
-    for ring in (QQ, GF(2), GF(3)):
-        with pytest.raises(CapExceededError, match="6 T\\(P\\) probes"):
-            theorem_verify_random(CHAIN2, ring, trials=3, probe_cap=5)
-        report = theorem_verify_random(CHAIN2, ring, trials=3, probe_cap=6)
-        assert report.verdict == "confirmed"
-
-
 # -- lemma conformance -------------------------------------------------------
 
 
@@ -529,13 +520,14 @@ def test_enumerate_degenerate_posets():
         assert report.probes_checked == endos
 
 
-def test_enumerate_endo_cap():
-    # The 2-chain over GF(3) has 3^9 endomorphisms, but the rank
-    # computation walks only the 6 probes of T(P), and the cap is
-    # charged those.
-    with pytest.raises(CapExceededError, match="--probe-cap"):
-        theorem_verify_enumerate(CHAIN2, 3, probe_cap=5)
-    assert theorem_verify_enumerate(CHAIN2, 3, probe_cap=6).verdict == "confirmed"
+def test_enumerate_endo_cap(monkeypatch):
+    # The 2-chain over GF(3) has 3^9 = 19683 endomorphisms, a count of 5
+    # digits: a digit limit of 5 admits it and one of 4 refuses it.
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 5, raising=False)
+    assert theorem_verify_enumerate(CHAIN2, 3).probes_checked == 19683
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4, raising=False)
+    with pytest.raises(CapExceededError, match="3\\^9 endos exceed 4 digits"):
+        theorem_verify_enumerate(CHAIN2, 3)
 
 
 def test_enumerate_matches_endomorphism_scan():
