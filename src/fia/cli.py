@@ -189,11 +189,9 @@ def _cmd_locder_verify(poset, args):
 
     d = _read_endo(poset, args.map)
     if args.mode == "exhaustive":
-        report = locder.check_local_exhaustive(d, probe_cap=args.probe_cap)
+        report = locder.check_local_exhaustive(d)
     else:
-        report = locder.check_local_spanning(
-            d, seed=args.seed, probe_cap=args.probe_cap
-        )
+        report = locder.check_local_spanning(d, seed=args.seed)
     payload = report.to_json()
     lines = _lines(payload, "mode", "ring", "verdict", "probes_checked")
     if "failing_probe" in payload:
@@ -256,7 +254,6 @@ _MAP = ("map", {})
 _MODE = ("--mode", {"choices": ("exhaustive", "spanning"), "default": "exhaustive"})
 _TRIALS = ("--trials", {"type": _positive_int, "default": 50})
 _SEED = ("--seed", {"type": int, "default": 0})
-_CAP = ("--probe-cap", {"type": _positive_int, "default": None})
 
 
 def _ring(default):
@@ -268,7 +265,7 @@ _VERBS = {
     ("der", "basis"): (_cmd_der_basis, _ring("q")),
     ("der", "h1"): (_cmd_der_h1, _ring("q")),
     ("der", "decompose"): (_cmd_der_decompose, _MAP),
-    ("locder", "verify"): (_cmd_locder_verify, _MAP, _MODE, _SEED, _CAP),
+    ("locder", "verify"): (_cmd_locder_verify, _MAP, _MODE, _SEED),
     ("locder", "lemmas"): (_cmd_locder_lemmas, _MAP, _SEED),
     ("theorem", "enumerate"): (_cmd_theorem_enumerate, _ring("zp:2")),
     ("theorem", "random"): (_cmd_theorem_random, _ring("q"), _TRIALS, _SEED),

@@ -417,11 +417,6 @@ def _derivation_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
     }
 
 
-@lru_cache(maxsize=64)
-def _inner_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
-    return _linalg.rref(_commutator_rows(poset, ring), ring)
-
-
 def _endo_from_rows(poset: Poset, ring: CoeffRing, terms) -> LinearEndo:
     """The map sum_k c_k row_k of raw c_k and sparse rows {c*N + r: value}."""
     n = poset.npairs
@@ -475,7 +470,7 @@ def derivation_basis_json(poset: Poset, ring: CoeffRing):
 
 def inner_basis(poset: Poset, ring: CoeffRing) -> list[LinearEndo]:
     """Canonical basis of the span of commutator maps of basis units."""
-    return _dense_basis(poset, ring, _inner_rref(poset, ring))
+    return _dense_basis(poset, ring, _linalg.rref(_commutator_rows(poset, ring), ring))
 
 
 def derivation_dimension(poset: Poset, ring: CoeffRing) -> int:
@@ -485,7 +480,7 @@ def derivation_dimension(poset: Poset, ring: CoeffRing) -> int:
 
 def inner_dimension(poset: Poset, ring: CoeffRing) -> int:
     """dim Inner, the pivot count of the commutator rows; builds no basis."""
-    return len(_inner_rref(poset, ring))
+    return len(_linalg.rref(_commutator_rows(poset, ring), ring))
 
 
 def h1_dimension(poset: Poset, ring: CoeffRing) -> int:

@@ -108,9 +108,12 @@ MUTANTS = (
     Mutant(
         "verify refuses a family at the probe cap",
         "locder.py",
-        "if total > cap:",
-        "if total >= cap:",
-        ("tests/test_locder.py::test_exhaustive_probe_cap",),
+        "if total > PROBE_CAP:",
+        "if total >= PROBE_CAP:",
+        (
+            "tests/test_locder.py::test_exhaustive_probe_cap",
+            "tests/test_cli.py::test_scalar_caps_admit_their_bound[probe]",
+        ),
     ),
     Mutant(
         "the campaign refuses trials at the scalar cap",
@@ -125,6 +128,27 @@ MUTANTS = (
         "if scalars > BASIS_SCALAR_CAP:",
         "if scalars >= BASIS_SCALAR_CAP:",
         ("tests/test_cli.py::test_scalar_caps_admit_their_bound[basis]",),
+    ),
+    Mutant(
+        "Poset refuses a poset at the size cap",
+        "poset.py",
+        "if len(elements) > SIZE_CAP:",
+        "if len(elements) >= SIZE_CAP:",
+        ("tests/test_poset.py::test_size_cap",),
+    ),
+    Mutant(
+        "random_poset refuses n at the size cap",
+        "poset.py",
+        "if not 0 <= n <= SIZE_CAP:",
+        "if not 0 <= n < SIZE_CAP:",
+        ("tests/test_poset.py::test_size_cap",),
+    ),
+    Mutant(
+        "CoeffRing refuses the largest prime below the modulus cap",
+        "scalars.py",
+        "2 <= p < MAX_MODULUS:",
+        "2 <= p < MAX_MODULUS - 1:",
+        ("tests/test_scalars.py::test_ring_constructor_validation",),
     ),
     Mutant(
         "is_derivation skips the cocycle test",

@@ -222,32 +222,16 @@ def test_locder_verify_exhaustive_needs_zp(capsys, chain3_file, good_map_file):
     assert "zp" in capsys.readouterr().err
 
 
-def test_locder_verify_probe_cap_exit_2(capsys, chain2_file, z2_map_file):
+def test_locder_verify_probe_cap_exit_2(capsys, monkeypatch, chain2_file, z2_map_file):
     # Both families on the 2-chain are longer than 4 (8 and 39 probes);
     # neither is cut short.
-    for mode in ("exhaustive", "spanning"):
-        code = run(
-            ["locder", "verify", chain2_file, z2_map_file, "--mode", mode,
-             "--probe-cap", "4"]
-        )
+    monkeypatch.setattr("fia.locder.PROBE_CAP", 4)
+    for mode, total in (("exhaustive", 8), ("spanning", 39)):
+        code = run(["locder", "verify", chain2_file, z2_map_file, "--mode", mode])
         assert code == 2
-        assert "--probe-cap" in capsys.readouterr().err
-
-
-def test_probe_cap_must_be_positive(capsys, chain2_file, z2_map_file):
-    argv = ["locder", "verify", chain2_file, z2_map_file, "--probe-cap", "-1"]
-    assert run(argv) == 2
-    assert "--probe-cap: must be at least 1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["enumerate", "random"])
-def test_theorem_verbs_take_no_probe_cap(capsys, chain3_file, command):
-    # Both harnesses walk T(P), linear in npairs, so neither has a cap to
-    # charge it to; the option is unknown there, not ignored.
-    assert run(["theorem", command, chain3_file, "--probe-cap", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments: --probe-cap 1" in captured.err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {total} {mode} probes exceed the cap of 4\n"
 
 
 def test_theorem_random_refuses_huge_trials_at_once(capsys, tmp_path, chain2_file):
@@ -278,14 +262,20 @@ def test_theorem_random_refuses_huge_trials_at_once(capsys, tmp_path, chain2_fil
         ("fia.locder.CAMPAIGN_SCALAR_CAP", 72, "theorem random", ["--trials", "2"]),
         # The 3-chain's 5 basis maps of 6^2 scalars each.
         ("fia.cli.BASIS_SCALAR_CAP", 180, "der basis", ["--format", "json"]),
+        # A zp:2 derivation on the 3-chain, charged its 2^6 exhaustive probes.
+        ("fia.locder.PROBE_CAP", 64, "locder verify", ["der3.json"]),
     ],
-    ids=["campaign", "basis"],
+    ids=["campaign", "basis", "probe"],
 )
 def test_scalar_caps_admit_their_bound(
-    capsys, monkeypatch, chain3_file, cap, bound, verb, options
+    capsys, monkeypatch, tmp_path, chain3_file, cap, bound, verb, options
 ):
     # Each cap admits a run at exactly its bound and refuses it, before any
-    # output, one scalar lower.
+    # output, one unit lower.
+    from fia.scalars import GF
+
+    write_json(tmp_path, "der3.json", derivation_basis(CHAIN3, GF(2))[0].to_json())
+    monkeypatch.chdir(tmp_path)
     argv = verb.split() + [chain3_file] + options
     monkeypatch.setattr(cap, bound)
     assert run(argv) == 0
@@ -607,7 +597,7 @@ VERB_DEFAULTS = {
     "der decompose": (("m.json",), {"map": "m.json"}),
     "locder verify": (
         ("m.json",),
-        {"map": "m.json", "mode": "exhaustive", "seed": 0, "probe_cap": None},
+        {"map": "m.json", "mode": "exhaustive", "seed": 0},
     ),
     "locder lemmas": (("m.json",), {"map": "m.json", "seed": 0}),
     "theorem enumerate": ((), {"ring": "zp:2"}),

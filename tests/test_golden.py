@@ -55,8 +55,6 @@ def commands():
         + [["locder", "verify", p, m] for p, m in maps if ".zp" in m]
         + [
             ["locder", "verify", "chain3.poset", "chain3.q.der.json"],
-            ["locder", "verify", "chain2.poset", "chain2.zp2.der.json",
-             "--probe-cap", "4"],
         ],
         "locder lemmas": [
             ["locder", "lemmas", p, m, "--seed", s] for p, m in maps for s in SEEDS

@@ -242,11 +242,13 @@ def test_exhaustive_requires_prime_field():
         check_local_exhaustive(LinearEndo.zero(CHAIN2, QQ))
 
 
-def test_exhaustive_probe_cap():
+def test_exhaustive_probe_cap(monkeypatch):
     d = LinearEndo.zero(CHAIN3, GF(2))
-    with pytest.raises(CapExceededError, match="probe-cap"):
-        check_local_exhaustive(d, probe_cap=32)
-    report = check_local_exhaustive(d, probe_cap=64)
+    monkeypatch.setattr(locder, "PROBE_CAP", 32)
+    with pytest.raises(CapExceededError, match="cap of 32$"):
+        check_local_exhaustive(d)
+    monkeypatch.setattr(locder, "PROBE_CAP", 64)
+    report = check_local_exhaustive(d)
     assert report.verdict == "local_derivation"
 
 
@@ -276,11 +278,12 @@ def test_exhaustive_derivation_report_matches_full_scan():
             assert check_local_exhaustive(d).to_json() == expected.to_json()
 
 
-def test_exhaustive_probe_cap_applies_to_derivations():
+def test_exhaustive_probe_cap_applies_to_derivations(monkeypatch):
     basis = derivation_basis(CHAIN3, GF(2))
     d = random_derivation(CHAIN3, GF(2), random.Random(5), basis)
-    with pytest.raises(CapExceededError, match="probe-cap"):
-        check_local_exhaustive(d, probe_cap=63)
+    monkeypatch.setattr(locder, "PROBE_CAP", 63)
+    with pytest.raises(CapExceededError, match="cap of 63$"):
+        check_local_exhaustive(d)
 
 
 # -- spanning probes ---------------------------------------------------------
@@ -320,17 +323,18 @@ def test_spanning_deterministic_per_seed():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_spanning_probe_cap_refuses_a_longer_family():
+def test_spanning_probe_cap_refuses_a_longer_family(monkeypatch):
     # A cut-short family could pass a map a later probe rejects, so a cap
     # below the family length is refused, for derivations and others.
     family = locder._spanning_count(CHAIN3)
     sigma = element(CHAIN3, QQ, NON_COCYCLE_CHAIN3)
     for d in (LinearEndo.zero(CHAIN3, QQ), sigma_endo(sigma)):
-        with pytest.raises(CapExceededError, match="probe-cap"):
-            check_local_spanning(d, probe_cap=5)
-        with pytest.raises(CapExceededError, match="probe-cap"):
-            check_local_spanning(d, probe_cap=family - 1)
-    report = check_local_spanning(LinearEndo.zero(CHAIN3, QQ), probe_cap=family)
+        for cap in (5, family - 1):
+            monkeypatch.setattr(locder, "PROBE_CAP", cap)
+            with pytest.raises(CapExceededError, match=f"cap of {cap}$"):
+                check_local_spanning(d)
+    monkeypatch.setattr(locder, "PROBE_CAP", family)
+    report = check_local_spanning(LinearEndo.zero(CHAIN3, QQ))
     assert report.verdict == "inconclusive"
     assert report.probes_checked == family
 

@@ -145,9 +145,14 @@ def test_digest_ignores_cover_presentation():
 
 
 def test_size_cap():
+    # Both the reader's Poset and random_poset admit 64 elements, not 65.
     labels = [f"v{i}" for i in range(65)]
-    with pytest.raises(PosetError):
+    assert len(Poset(labels[:64], ())) == 64
+    with pytest.raises(PosetError, match="65 elements, cap is 64"):
         Poset(labels, ())
+    assert len(random_poset(64, 0.5, seed=3)) == 64
+    with pytest.raises(PosetError, match="n must be between 0 and 64"):
+        random_poset(65, 0.5, seed=3)
 
 
 def test_undeclared_cover_label():

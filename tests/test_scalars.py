@@ -65,7 +65,9 @@ def test_ring_constructor_validation():
         CoeffRing("zp")
     with pytest.raises(RingError):
         CoeffRing("q", 5)
-    with pytest.raises(RingError):
+    # The cap admits 2^31 - 1, a prime, and refuses 2^31 as out of range.
+    assert parse_ring("zp:2147483647").p == (1 << 31) - 1
+    with pytest.raises(RingError, match="2 <= p < 2\\*\\*31"):
         CoeffRing("zp", 1 << 31)
 
 

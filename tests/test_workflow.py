@@ -17,14 +17,18 @@ WORKFLOW = Path(__file__).resolve().parent.parent / ".github/workflows/tier1.yml
 
 
 def _inline_blocks(text):
-    """The body of each `<<'PY'` heredoc, dedented, with its first line number."""
-    blocks, body, start = [], None, 0
+    """The body of each `<<'PY'` heredoc, dedented, with its step's name and
+    its first line number."""
+    blocks, body, step, start = [], None, None, 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         if body is None:
-            if line.rstrip().endswith("<<'PY'"):
+            if line.lstrip().startswith("- "):
+                key, _, value = line.lstrip()[2:].partition(":")
+                step = value.strip() if key == "name" else None
+            elif line.rstrip().endswith("<<'PY'"):
                 body, start = [], lineno + 1
         elif line.strip() == "PY":
-            blocks.append((start, textwrap.dedent("\n".join(body))))
+            blocks.append((step, start, textwrap.dedent("\n".join(body))))
             body = None
         else:
             body.append(line)
@@ -36,15 +40,21 @@ BLOCKS = _inline_blocks(WORKFLOW.read_text(encoding="utf-8"))
 
 
 def test_workflow_has_inline_blocks():
-    # The console-script check and the local-dimension census.
-    assert len(BLOCKS) >= 2
+    # The console-script check and the local-dimension census, each in a
+    # named step of its own.
+    steps = [step for step, _, _ in BLOCKS]
+    assert len(steps) >= 2
+    assert None not in steps and len(set(steps)) == len(steps)
 
 
 def _ours(module):
     return module == "helpers" or module.split(".")[0] == "fia"
 
 
-@pytest.mark.parametrize("start, source", BLOCKS, ids=[f"line{s}" for s, _ in BLOCKS])
+# Named by step, so a step inserted above a block leaves its test id alone.
+@pytest.mark.parametrize(
+    "start, source", [pytest.param(start, source, id=step) for step, start, source in BLOCKS]
+)
 def test_inline_block_compiles_and_its_imports_resolve(start, source):
     tree = ast.parse(source, filename=f"tier1.yml:{start}")
     compile(tree, f"tier1.yml:{start}", "exec")
