@@ -62,13 +62,13 @@ def rref(rows, ring) -> dict[int, dict]:
     return {lead: pivot_rows[lead] for lead in sorted(pivot_rows)}
 
 
-def nullspace(pivot_rows: dict[int, dict], nvars: int, ring) -> list[dict]:
+def nullspace(pivot_rows: dict[int, dict], variables, ring) -> list[dict]:
     """Canonical nullspace basis of rref rows, one sparse row per free variable.
 
-    Free variable f's row is one at f and -row[f] at each rref row's pivot.
+    Free f in variables has one at f and -row[f] at each rref row's pivot.
     """
     one, neg = ring.one, ring.neg
-    basis = {f: {f: one} for f in range(nvars) if f not in pivot_rows}
+    basis = {f: {f: one} for f in variables if f not in pivot_rows}
     for lead, row in pivot_rows.items():
         for c, v in row.items():
             if c != lead:

@@ -119,11 +119,8 @@ def _cmd_poset_check(poset, args):
 
 def _cmd_der_basis(poset, args):
     ring = parse_ring(args.ring)
-    payload = {
-        "mode": "der-basis",
-        "ring": ring.designator(),
-        "dimension": deriv.derivation_dimension(poset, ring),
-    }
+    rows = deriv._derivation_rref(poset, ring)
+    payload = {"mode": "der-basis", "ring": ring.designator(), "dimension": len(rows)}
     # Text prints the dimension only, so only JSON writes the basis; it is
     # refused before its first byte.
     if args.format_ == "json":
@@ -133,14 +130,14 @@ def _cmd_der_basis(poset, args):
                 f"the basis has {scalars} scalars, above the cap of {BASIS_SCALAR_CAP}"
             )
     lines = _lines(payload, "ring", "dimension")
-    return _basis_json(poset, ring, payload), lines, 0
+    return _basis_json(poset, ring, rows, payload), lines, 0
 
 
-def _basis_json(poset, ring, payload):
+def _basis_json(poset, ring, rows, payload):
     """The canonical dump of payload plus its "basis" list, map by map."""
     head, tail = deriv._split_json(payload, "basis")
     yield head
-    for k, text in enumerate(deriv.derivation_basis_json(poset, ring)):
+    for k, text in enumerate(deriv.derivation_basis_json(poset, ring, rows)):
         yield "," + text if k else text
     yield tail + "\n"
 

@@ -11,16 +11,15 @@ the split leaves over; is_derivation and decompose read their answers off
 it.  The cocycle condition is one row set, _cocycle_rows, which
 is_cocycle evaluates and _cocycle_basis eliminates.  The derivation space
 is the exact span of the commutator maps [e_xy, .] and of D_sigma over a
-cocycle basis, reduced once and cached as sparse rows; its basis, its
-dimension and h1 = dim Der - dim Inner come from that elimination.
-Those rows are the one form of Der that library paths read: a dense map
-is built from rows only by _endo_from_rows, for callers that get a map.
+cocycle basis, reduced to sparse rows once per caller, which passes them
+on; its basis, dimension and h1 = dim Der - dim Inner come from them.
+They are the one form of Der that library paths read: a dense map is
+built from rows only by _endo_from_rows, for callers that get a map.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from itertools import chain
 
 from . import _linalg
@@ -389,10 +388,9 @@ def _commutator_rows(poset: Poset, ring: CoeffRing):
 def _cocycle_basis(poset: Poset, ring: CoeffRing) -> list[dict]:
     """Canonical basis of the cocycles, as sparse rows over the pair positions."""
     pivots = _linalg.rref(_cocycle_rows(poset, ring), ring)
-    return _linalg.nullspace(pivots, poset.npairs, ring)
+    return _linalg.nullspace(pivots, range(poset.npairs), ring)
 
 
-@lru_cache(maxsize=64)
 def _derivation_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
     """Der in reduced echelon form with the largest variable c*N + r leading.
 
@@ -443,14 +441,13 @@ def derivation_basis(poset: Poset, ring: CoeffRing) -> list[LinearEndo]:
     return _dense_basis(poset, ring, _derivation_rref(poset, ring))
 
 
-def derivation_basis_json(poset: Poset, ring: CoeffRing):
+def derivation_basis_json(poset: Poset, ring: CoeffRing, rows: dict[int, dict]):
     """Yield the canonical JSON text of each derivation_basis map, in order.
 
     Each text is to_json() dumped with sorted keys and no whitespace, but
-    written straight from the reduced rows: no map is built, zero scalars
-    and all-zero columns are one shared string each.
+    written straight from rows, _derivation_rref(poset, ring): no map is
+    built, zero scalars and all-zero columns are one shared string each.
     """
-    rows = _derivation_rref(poset, ring)
     n = poset.npairs
     zero = _canonical_json(ring.scalar_to_json(ring.zero))
     zero_col = "[" + ",".join([zero] * n) + "]"

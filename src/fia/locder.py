@@ -2,13 +2,12 @@
 
 A linear map d is a local derivation when every element a has a
 derivation witness agreeing with d there, i.e. d(a) lies in the subspace
-W_a = {D(a) : D a derivation}.  _images forms the D_k(a) straight from
-Der's cached sparse rows D_k, and d(a) from d as one such row; the
-witness test reduces d(a) against their echelon basis, witness_for reads
-a combination of its caller's maps off the same elimination, and
-local_dimension takes their annihilators.  The condition is linear in d,
-so the local derivations form a subspace Loc containing the derivations
-Der.
+W_a = {D(a) : D a derivation}.  _images forms the D_k(a) from sparse rows
+D_k of Der, reduced once per caller, and d(a) from d as one such row; the
+witness test reduces d(a) against their echelon basis, and witness_for
+reads a combination of its caller's maps off the same elimination.  The
+condition is linear in d, so the local derivations form a subspace Loc
+containing the derivations Der.
 
 A derivation passes every probe without a scan, and any other map is
 scanned up to its first witness-less probe.  Verify's exhaustive mode
@@ -18,11 +17,11 @@ e_xy + e_yz - e_xz - e_y, seeded random elements) and never certifies.
 A family longer than PROBE_CAP, a constant that never picks it, is refused.
 
 Both theorem harnesses rest on T(P), which saturates over any field:
-local_dimension reads dim Loc off it, enumerate compares that with dim
-Der over a prime field, and the campaign scans each sampled
-non-derivation over it.  T(P) is linear in npairs, so no cap is charged
-for it.  Everything runs in one process, in a fixed order, so a report
-depends only on its inputs.
+local_dimension reads dim Loc off it from the commutator rows alone, as
+W_a = [FI, a] there, enumerate compares that with dim Der over a prime
+field, and the campaign scans each sampled non-derivation over it.  T(P)
+is linear in npairs, so no cap is charged for it.  Everything runs in
+one process, in a fixed order, so a report depends only on its inputs.
 
 Each report is declared once.  The verify and theorem reports write
 their set fields through one to_json, and the lemma checks are one
@@ -39,6 +38,7 @@ from math import comb, log10
 from . import _linalg
 from .deriv import (
     LinearEndo,
+    _commutator_rows,
     _dense_vector,
     _derivation_rref,
     _endo_from_rows,
@@ -190,10 +190,10 @@ def witness_for(d: LinearEndo, a: FiElement, der_basis) -> LinearEndo | None:
 # -- the probe scan ----------------------------------------------------------
 
 
-def _first_witnessless(d: LinearEndo, vectors):
+def _first_witnessless(d: LinearEndo, der_rows, vectors):
     """(index, probe) of the first dense probe vector with no witness, or None."""
     poset, ring, n = d.poset, d.ring, d.poset.npairs
-    rows = [_endo_row(d), *_derivation_rref(poset, ring).values()]
+    rows = [_endo_row(d), *der_rows]
     for index, vec in enumerate(vectors):
         if _residual(ring, rows, vec, n):
             entries = {pair: v for pair, v in zip(poset.ipairs, vec) if v}
@@ -221,7 +221,9 @@ def _check_local(d, mode, seed=None):
     if total > PROBE_CAP:
         raise CapExceededError(f"{total} {mode} probes exceed the cap of {PROBE_CAP}")
     designator = ring.designator()
-    fail = None if is_derivation(d) else _first_witnessless(d, vectors)
+    fail = None
+    if not is_derivation(d):
+        fail = _first_witnessless(d, _derivation_rref(poset, ring).values(), vectors)
     if fail is None:
         verdict = VERDICT_LOCAL if mode == "exhaustive" else VERDICT_INCONCLUSIVE
         return LocalCheckReport(mode, verdict, total, designator, seed=seed)
@@ -392,11 +394,14 @@ def _probe_family(poset: Poset):
 
     In order: every unit e_xy; e_x + e_y, e_x + e_xy and e_xy + e_y for
     each x < y; e_xy + e_xz + e_y + e_yz for each cover (x, y) and z > y.
-    A map d passing them all is a derivation over any field, in 3 steps:
+    On each probe a, W_a = [FI, a]: a's off-diagonal pairs lie in one chain
+    x < y < z, on which a cocycle sigma is a coboundary delta f, and
+    D_{delta f} = -[sum_w f(w) e_w, .] is inner.  A map d with each d(a) in
+    [FI, a] is a derivation over any field, in 3 steps:
     1. Unit e_x puts d(e_x) on the pairs (u, x), (x, v); e_x + e_y makes
        its (x, y) entry minus d(e_y)'s, so d' = d - [alpha, .] kills each e_x.
     2. Then e_x + e_xy, e_xy + e_y and e_xy give d'(e_xy) = sigma(x, y) e_xy.
-    3. (1 - c)D(c)(1 - c) = 0 for an idempotent c and a derivation D; for
+    3. (1 - c)[f, c](1 - c) = 0 for an idempotent c and any f; for
        the chain idempotent c, (1 - c)d'(c)(1 - c) is (sigma(x, z) -
        sigma(x, y) - sigma(y, z)) e_xz, so sigma is additive on the covers,
        hence a cocycle, and d = [alpha, .] + D_sigma.  No step divides.
@@ -419,21 +424,27 @@ def _probe_vector(ring: CoeffRing, n: int, probe) -> list:
 def local_dimension(poset: Poset, ring: CoeffRing) -> int:
     """dim Loc over any field, as the nullity of the conditions of T(P).
 
-    Each probe a adds the rows y . d(a) = 0 on the n^2 entries of d, one
-    per annihilator y of W_a.  The maps passing T(P) contain Loc, which
-    contains Der, and _probe_family proves they are Der, so the nullity
-    is dim Loc; equal to dim Der, it certifies Loc = Der.
+    Each probe a asks y . d(a) = 0 per annihilator y of W_a = [FI, a], from
+    the commutator rows.  Unit e_c keeps d(e_c) on the pivots S_c of W_{e_c},
+    the variables; any other a takes y over the union of its S_c.  Loc lies
+    between Der and the maps passing T(P), which _probe_family proves are
+    Der, so the nullity is dim Loc; equal to dim Der, it certifies Loc = Der.
     """
     n = poset.npairs
-    der_rows = _derivation_rref(poset, ring).values()
+    commutators = list(_commutator_rows(poset, ring))
+    supports = [range(n)] * n
     pivots: dict[int, dict] = {}
     for probe in _probe_family(poset):
         vec = _probe_vector(ring, n, probe)
-        w_a = _linalg.rref(_images(ring, der_rows, vec, n), ring)
-        for y in _linalg.nullspace(w_a, n, ring):
-            row = {c * n + r: v for c in probe for r, v in y.items()}
+        w_a = _linalg.rref(_images(ring, commutators, vec, n), ring)
+        if len(probe) == 1:
+            supports[probe[0]] = w_a.keys()
+            continue
+        union = sorted(set().union(*(supports[c] for c in probe)))
+        for y in _linalg.nullspace(w_a, union, ring):
+            row = {c * n + r: y[r] for c in probe for r in y if r in supports[c]}
             _linalg.add_row(pivots, row, ring)
-    return n * n - len(pivots)
+    return sum(map(len, supports)) - len(pivots)
 
 
 def theorem_verify_enumerate(poset: Poset, prime: int) -> TheoremReport:
@@ -512,7 +523,7 @@ def theorem_verify_random(
         # Non-derivations met is_derivation while being sampled.
         derivation = k < trials and is_derivation(d)
         vectors = (_probe_vector(ring, n, probe) for probe in family)
-        fail = None if derivation else _first_witnessless(d, vectors)
+        fail = None if derivation else _first_witnessless(d, der_rows, vectors)
         confirmed = confirmed and (derivation if k < trials else fail is not None)
         s_loc += fail is None
         probes += len(family) if fail is None else fail[0] + 1

@@ -172,11 +172,25 @@ MUTANTS = (
         ("tests/test_poset.py::test_transitive_closure_and_reduction",),
     ),
     Mutant(
-        "witness_for reads the cached rows, not its caller's basis",
+        "witness_for reads Der's rows, not its caller's basis",
         "locder.py",
         "rows = [_endo_row(m) for m in (d, *der_basis)]",
         "rows = [_endo_row(d), *_derivation_rref(poset, ring).values()]",
         ("tests/test_locder.py::test_witness_for_against_enumeration_over_gf3",),
+    ),
+    Mutant(
+        "a unit probe's support loses a pair",
+        "locder.py",
+        "supports[probe[0]] = w_a.keys()",
+        "supports[probe[0]] = sorted(w_a)[1:]",
+        _LEIBNIZ,
+    ),
+    Mutant(
+        "non-unit rows keep entries outside S_c",
+        "locder.py",
+        "for c in probe for r in y if r in supports[c]}",
+        "for c in probe for r in y}",
+        _LEIBNIZ,
     ),
     Mutant(
         "T(P) drops the units",

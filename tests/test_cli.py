@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fia import deriv
+from fia import deriv, locder
 from fia.cli import build_parser, run
 from fia.deriv import derivation_basis, inner, sigma_endo
 from fia.fialg import element, element_from_json
@@ -356,7 +356,6 @@ def test_der_basis_json_memory_stays_flat(tmp_path):
     # elimination included, stays under 2 MB.
     path = chain_file(tmp_path, 12)
     target = tmp_path / "chain12.json"
-    deriv._derivation_rref.cache_clear()
     tracemalloc.start()
     try:
         argv = ["der", "basis", path, "--ring", "q", "--format", "json",
@@ -367,6 +366,37 @@ def test_der_basis_json_memory_stays_flat(tmp_path):
         tracemalloc.stop()
     assert target.stat().st_size > 10_000_000
     assert peak < 2_000_000
+
+
+def test_each_run_computes_der_at_most_once(monkeypatch, capsys):
+    # No cache keeps Der, so each handler reduces it once and passes the
+    # rows on; enumerate's local_dimension needs none, and neither does
+    # verify of a derivation, which is its own witness at every probe.
+    calls = []
+    compute = deriv._derivation_rref
+
+    def counting(poset, ring):
+        calls.append(ring)
+        return compute(poset, ring)
+
+    monkeypatch.setattr(deriv, "_derivation_rref", counting)
+    monkeypatch.setattr(locder, "_derivation_rref", counting)
+    poset = str(GOLDEN / "chain3.poset")
+    der, miss = (str(GOLDEN / f"chain3.zp3.{kind}.json") for kind in ("der", "miss"))
+    cases = [
+        (["der", "basis", poset, "--format", "json"], 0, 1),
+        (["der", "h1", poset], 0, 1),
+        (["theorem", "enumerate", poset], 0, 1),
+        (["theorem", "random", poset, "--trials", "3"], 0, 1),
+        (["locder", "verify", poset, miss], 1, 1),
+        (["locder", "verify", poset, der], 0, 0),
+        (["locder", "verify", poset, der, "--mode", "spanning"], 0, 0),
+    ]
+    for argv, code, computed in cases:
+        calls.clear()
+        assert run(argv) == code, argv
+        assert len(calls) == computed, argv
+    capsys.readouterr()
 
 
 def test_der_basis_refusals_write_nothing(capsys, tmp_path, chain3_file):

@@ -358,7 +358,7 @@ def test_add_row_counts_rank_and_matches_rref_pivots():
             for echelon in (reduced, pivots):
                 residual = reduce_vector(sparse, echelon, ring)
                 assert (not residual) == (vec in span)
-        kernel = nullspace(reduced, nvars, ring)
+        kernel = nullspace(reduced, range(nvars), ring)
         free = [c for c in range(nvars) if c not in reduced]
         assert len(kernel) == len(free) == nvars - len(reduced)
         for f, y in zip(free, kernel):

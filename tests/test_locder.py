@@ -1,4 +1,3 @@
-import copy
 import functools
 import itertools
 import json
@@ -46,6 +45,7 @@ from helpers import (
     DIAMOND,
     SINGLETON,
     chain,
+    commutator_span_basis,
     dense_rref,
     leibniz_kernel_basis,
     leibniz_on_units,
@@ -174,17 +174,14 @@ def test_witness_for_checks_its_operands():
         witness_for(d, e_ab, derivation_basis(CHAIN2, QQ))
 
 
-def test_local_checks_read_der_from_its_cached_rows(monkeypatch):
-    # Der is read from deriv's cached sparse rows and never densified:
-    # the local checks and local_dimension build no map at all, and a
-    # campaign builds one map per sample.  The cached rows stay as they
-    # were.
+def test_local_checks_read_der_from_its_sparse_rows(monkeypatch):
+    # Der is read as sparse rows and never densified: the local checks
+    # and local_dimension build no map at all, and a campaign builds one
+    # map per sample.
     ring = GF(3)
     d = sigma_endo(element(CHAIN3, ring, NON_COCYCLE_CHAIN3))
     assert not is_derivation(d)
-    before = {
-        r: copy.deepcopy(_derivation_rref(CHAIN3, r)) for r in (ring, GF(2), QQ)
-    }
+    dim_der = len(_derivation_rref(CHAIN3, GF(2)))
     built = []
     init = LinearEndo.__init__
 
@@ -195,15 +192,13 @@ def test_local_checks_read_der_from_its_cached_rows(monkeypatch):
     monkeypatch.setattr(LinearEndo, "__init__", counting)
     assert check_local_exhaustive(d).verdict == "rejected"
     assert check_local_spanning(d, seed=3).verdict == "rejected"
-    assert local_dimension(CHAIN3, GF(2)) == len(before[GF(2)])
+    assert local_dimension(CHAIN3, GF(2)) == dim_der
     assert built == []
     report = theorem_verify_random(CHAIN3, QQ, trials=6, seed=2)
     assert report.verdict == "confirmed"
     # Six derivation samples and six non-derivations: no random q map is
     # a derivation, so no non-sample is drawn twice.
     assert len(built) == 12
-    for r, rows in before.items():
-        assert _derivation_rref(CHAIN3, r) == rows
 
 
 # -- exhaustive probing ------------------------------------------------------
@@ -270,7 +265,9 @@ def test_exhaustive_derivation_report_matches_full_scan():
         total = ring.p ** poset.npairs
         for _ in range(3):
             d = random_derivation(poset, ring, rng, basis)
-            scan = _first_witnessless(d, _digit_vectors(ring.p, poset.npairs))
+            der_rows = _derivation_rref(poset, ring).values()
+            vectors = _digit_vectors(ring.p, poset.npairs)
+            scan = _first_witnessless(d, der_rows, vectors)
             assert scan is None
             expected = LocalCheckReport(
                 "exhaustive", "local_derivation", total, ring.designator()
@@ -351,7 +348,8 @@ def test_spanning_derivation_report_matches_full_scan():
                 seed = rng.randrange(1 << 16)
                 family = list(_spanning_probes(poset, ring, seed))
                 vectors = (_dense_vector(poset, a) for a in family)
-                assert _first_witnessless(d, vectors) is None
+                der_rows = _derivation_rref(poset, ring).values()
+                assert _first_witnessless(d, der_rows, vectors) is None
                 expected = LocalCheckReport(
                     "spanning",
                     "inconclusive",
@@ -573,15 +571,56 @@ def _oracle_dimension(poset, ring):
     return len(_oracle_basis(poset, ring))
 
 
-def test_local_dimension_matches_leibniz_oracle():
+def test_local_dimension_matches_leibniz_oracle(monkeypatch):
     # T(P) saturates over every field, q included: its nullity is the
     # dimension of the solver-free Leibniz kernel on every poset of at
-    # most four elements.  On the 12-chain it has 78 units, 3 * 66
-    # two-unit probes and 55 chain idempotents.
+    # most four elements.  It reads no Der, as W_a = [FI, a] on T(P).  On
+    # the 12-chain it has 78 units, 3 * 66 two-unit probes and 55 chain
+    # idempotents.
+    monkeypatch.setattr(locder, "_derivation_rref", _no_der)
+    monkeypatch.setattr(deriv, "_derivation_rref", _no_der)
     for ring in (GF(2), GF(3), GF(5), QQ):
         for poset in small_posets(4):
             assert local_dimension(poset, ring) == _oracle_dimension(poset, ring)
     assert sum(1 for _ in locder._probe_family(chain(12))) == 331
+
+
+def _no_der(poset, ring):
+    raise AssertionError("Der was computed")
+
+
+def _span_dimension(maps, vec, ring):
+    """dim span{m(a)} over the given maps, a as a dense vector, by dense_rref."""
+    images = []
+    for m in maps:
+        image = [ring.zero] * len(vec)
+        for col, v in zip(m.cols, vec):
+            if v:
+                image = [ring.add(x, ring.mul(v, w)) for x, w in zip(image, col)]
+        images.append(image)
+    return len(dense_rref(images, ring))
+
+
+def test_w_a_is_the_commutator_span_on_every_t_p_probe():
+    # [FI, a] lies in W_a, so equal dimensions make them equal: a's
+    # off-diagonal pairs lie in one chain, on which a cocycle agrees with
+    # a coboundary, whose diagonal map is inner.  Both spans come from
+    # the solver-free oracles.
+    for ring in (GF(2), GF(3), QQ):
+        for poset in small_posets(4):
+            der = _oracle_basis(poset, ring)
+            commutators = commutator_span_basis(poset, ring)
+            for probe in locder._probe_family(poset):
+                a = [ring.one if t in probe else ring.zero for t in range(poset.npairs)]
+                assert _span_dimension(der, a, ring) == _span_dimension(
+                    commutators, a, ring
+                )
+    # Off T(P) they can differ, which is why verify's modes read Der: on
+    # the crown, W_zeta has dimension 4 and [FI, zeta] 3.
+    for ring in (QQ, GF(2)):
+        zeta = [ring.one] * CROWN.npairs
+        assert _span_dimension(_oracle_basis(CROWN, ring), zeta, ring) == 4
+        assert _span_dimension(commutator_span_basis(CROWN, ring), zeta, ring) == 3
 
 
 def _probe_kind(poset, probe):
@@ -733,7 +772,8 @@ def test_random_campaign_rejects_patchworks_that_pass_every_unit(monkeypatch):
                 continue
             units = [locder._probe_vector(ring, n, (t,)) for t in range(n)]
             d = _patchwork(poset, ring, random.Random(0))
-            assert _first_witnessless(d, units) is None
+            der_rows = _derivation_rref(poset, ring).values()
+            assert _first_witnessless(d, der_rows, units) is None
             report = theorem_verify_random(poset, ring, trials=3, seed=4)
             assert report.verdict == "confirmed"
             assert report.s_loc == 3
