@@ -5,7 +5,7 @@ _eliminate is the one row step, row -= factor * pivot row with zeros
 dropped.  add_row grows an echelon basis by one row with it; rref is
 add_row plus back substitution with it; reduce_vector reduces a vector
 with it; nullspace only reads rref rows and yields sparse rows too.
-Pivots always sit on the smallest variable present, so the reduced
+Pivots always sit on the largest variable present, so the reduced
 echelon form, the pivot set and the nullspace basis depend only on the
 row space and the variable order, never on the order rows arrive in.
 """
@@ -30,12 +30,12 @@ def _eliminate(row: dict, lead, pivot_row: dict, ring) -> None:
 def add_row(pivot_rows: dict[int, dict], incoming, ring) -> bool:
     """Eliminate one sparse row against echelon rows {pivot var: row}.
 
-    A row that survives is normalised and stored under its smallest
+    A row that survives is normalised and stored under its largest
     variable; returns whether it did, i.e. whether the rank grew.
     """
     row = dict(incoming)
     while row:
-        lead = min(row)
+        lead = max(row)
         piv = pivot_rows.get(lead)
         if piv is None:
             inv = ring.inv(row[lead])
@@ -54,10 +54,11 @@ def rref(rows, ring) -> dict[int, dict]:
     pivot_rows: dict[int, dict] = {}
     for incoming in rows:
         add_row(pivot_rows, incoming, ring)
-    # Back substitution: clear pivot columns out of earlier pivot rows.
-    for lead in sorted(pivot_rows, reverse=True):
+    # Back substitution: clear pivot columns out of later pivot rows.
+    for lead in sorted(pivot_rows):
         row = pivot_rows[lead]
-        for c in sorted(c for c in row if c != lead and c in pivot_rows):
+        others = (c for c in row if c != lead and c in pivot_rows)
+        for c in sorted(others, reverse=True):
             _eliminate(row, c, pivot_rows[c], ring)
     return {lead: pivot_rows[lead] for lead in sorted(pivot_rows)}
 
@@ -79,12 +80,11 @@ def nullspace(pivot_rows: dict[int, dict], variables, ring) -> list[dict]:
 def reduce_vector(vec: dict, pivot_rows: dict[int, dict], ring) -> dict:
     """Residual of a sparse vector against echelon rows; empty iff in span.
 
-    The rows may come from add_row alone, or be fully reduced in either
-    variable order: each is eliminated at its pivot in increasing pivot
-    order, which leaves the other pivots of such rows untouched.
+    The rows may come from add_row or rref: each is eliminated at its
+    pivot in decreasing pivot order, and it brings in only variables below it.
     """
     row = {c: v for c, v in vec.items() if v != ring.zero}
-    for lead in sorted(pivot_rows):
+    for lead in sorted(pivot_rows, reverse=True):
         if lead in row:
             _eliminate(row, lead, pivot_rows[lead], ring)
     return row

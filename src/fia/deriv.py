@@ -392,27 +392,20 @@ def _cocycle_basis(poset: Poset, ring: CoeffRing) -> list[dict]:
 
 
 def _derivation_rref(poset: Poset, ring: CoeffRing) -> dict[int, dict]:
-    """Der in reduced echelon form with the largest variable c*N + r leading.
+    """Der in reduced echelon form, keyed by pivot in pivot order.
 
     Der is spanned by the commutator maps and the D_sigma of a cocycle
-    basis.  Each reduced row has a one on its pivot, its largest variable,
-    and zeros on every other pivot, so the rows sorted by pivot are the
-    canonical nullspace-form basis of Der.  Keyed by pivot, in pivot order.
+    basis.  Each reduced row has a one on its pivot, its largest variable
+    c*N + r, and zeros on every other pivot, so the rows in pivot order
+    are the canonical nullspace-form basis of Der.
     """
     n = poset.npairs
-    last = n * n - 1
     diagonal_maps = (
         {t * n + t: s for t, s in sigma.items()}
         for sigma in _cocycle_basis(poset, ring)
     )
     rows = chain(_commutator_rows(poset, ring), diagonal_maps)
-    flipped = _linalg.rref(
-        ({last - var: v for var, v in row.items()} for row in rows), ring
-    )
-    return {
-        last - lead: {last - var: v for var, v in row.items()}
-        for lead, row in reversed(flipped.items())
-    }
+    return _linalg.rref(rows, ring)
 
 
 def _endo_from_rows(poset: Poset, ring: CoeffRing, terms) -> LinearEndo:

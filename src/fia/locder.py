@@ -160,16 +160,17 @@ def _residual(ring, rows, vec, n, tagged=False) -> dict:
     """d(a) reduced against an echelon basis of W_a = span{D_k(a)}.
 
     The rows are those of d and then of the D_k.  d(a) lies in W_a iff
-    no variable below n is left.  When tagged, image k carries one more
-    variable n + k with coefficient one, so the tags left over are minus
-    the coefficients of a combination of the D_k(a) equal to d(a).
+    no variable from 0 up is left.  When tagged, image k carries one more
+    variable -1 - k, below every pair, with coefficient one, so the tags
+    left over are minus the coefficients of a combination of the D_k(a)
+    equal to d(a).
     """
     images = _images(ring, rows, vec, n)
     target = next(images)
     w_a: dict[int, dict] = {}
     for k, img in enumerate(images):
         if tagged:
-            img[n + k] = ring.one
+            img[-1 - k] = ring.one
         _linalg.add_row(w_a, img, ring)
     return _linalg.reduce_vector(target, w_a, ring)
 
@@ -181,9 +182,9 @@ def witness_for(d: LinearEndo, a: FiElement, der_basis) -> LinearEndo | None:
         _check_compatible(d, operand)
     rows = [_endo_row(m) for m in (d, *der_basis)]
     rest = _residual(ring, rows, _dense_vector(poset, a), n, True)
-    if any(var < n for var in rest):
+    if any(var >= 0 for var in rest):
         return None
-    coeffs = (ring.neg(rest.get(n + k, ring.zero)) for k in range(len(der_basis)))
+    coeffs = (ring.neg(rest.get(-1 - k, ring.zero)) for k in range(len(der_basis)))
     return _endo_from_rows(poset, ring, zip(coeffs, rows[1:]))
 
 

@@ -212,13 +212,19 @@ def scan_endomorphisms(poset, p):
 
 
 def commutator_span_basis(poset, ring):
-    """The rref of the maps inner(e_xy), built through convolve, by pivot."""
+    """The rref of the maps inner(e_xy), built through convolve, by pivot.
+
+    fia leads on the largest variable, so the columns go to dense_rref
+    reversed and come back reversed.  dense_rref itself stays smallest
+    first: leibniz_kernel_basis reads Der's largest-first basis as the
+    nullspace of the Leibniz rows reduced smallest-first.
+    """
     n = poset.npairs
-    rows = [[v for col in inner(u).cols for v in col] for u in all_units(poset, ring)]
-    return [
-        LinearEndo(poset, ring, _columns(row, n))
-        for row in dense_rref(rows, ring).values()
+    rows = [
+        [v for col in inner(u).cols for v in col][::-1] for u in all_units(poset, ring)
     ]
+    reduced = dense_rref(rows, ring).values()
+    return [LinearEndo(poset, ring, _columns(r[::-1], n)) for r in reversed(reduced)]
 
 
 def dense_decomposition(d):

@@ -63,6 +63,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_linalg pivots on the smallest variable",
+        "_linalg.py",
+        "lead = max(row)",
+        "lead = min(row)",
+        (
+            "tests/test_deriv.py::test_add_row_counts_rank_and_matches_rref_pivots",
+            "tests/test_deriv.py::test_bases_match_oracles_on_chains_diamond_and_crown",
+        ),
+    ),
+    Mutant(
         "_split flips the sign of sigma",
         "deriv.py",
         "sigma[(u, v)] = s",
@@ -176,6 +186,13 @@ MUTANTS = (
         "locder.py",
         "rows = [_endo_row(m) for m in (d, *der_basis)]",
         "rows = [_endo_row(d), *_derivation_rref(poset, ring).values()]",
+        ("tests/test_locder.py::test_witness_for_against_enumeration_over_gf3",),
+    ),
+    Mutant(
+        "witness tags sit above the pair variables",
+        "locder.py",
+        "img[-1 - k] = ring.one",
+        "img[n + k] = ring.one",
         ("tests/test_locder.py::test_witness_for_against_enumeration_over_gf3",),
     ),
     Mutant(
