@@ -22,8 +22,8 @@ Start-up is most of a short run, and with PYTHONDONTWRITEBYTECODE set
 every process compiles each fia module it imports, so a process loads
 only what its verb runs: the poset and der verbs never import locder,
 the reports are plain classes (dataclasses would pull in inspect and
-ast), and hashlib, which loads OpenSSL, is imported only when a map's
-poset hash is read or written.  See README "Start-up".
+ast), and no verb imports hashlib, which loads OpenSSL: a map's poset
+hash comes from CPython's own SHA-256 module.  See README "Start-up".
 """
 
 from __future__ import annotations

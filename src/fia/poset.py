@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 
 SIZE_CAP = 64
 
@@ -197,10 +198,20 @@ class Poset:
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
-        """Hex digest of the canonical serialization; names the poset in maps."""
-        import hashlib  # loads OpenSSL; only verbs that read or write maps get here
+        """Hex digest of the canonical serialization; names the poset in maps.
 
-        return hashlib.sha256(self.serialize().encode()).hexdigest()
+        The SHA-256 is CPython's own module, the one hashlib falls back to,
+        since hashlib loads OpenSSL.  It is picked by version, so no import
+        fails on the way; hashlib serves only a CPython built without it.
+        """
+        try:
+            if sys.version_info >= (3, 12):
+                from _sha2 import sha256
+            else:
+                from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+        return sha256(self.serialize().encode()).hexdigest()
 
 
 def parse_poset(text: str) -> Poset:

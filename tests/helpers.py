@@ -7,7 +7,8 @@ basis units and the commutator maps through convolve, and reduce them by
 their own dense Gauss-Jordan elimination, so they share no code with the
 library's split-based route and its sparse fia._linalg.  The
 endomorphism scan reads Der and every W_a off that Leibniz kernel as
-sets, so it shares nothing with the probe scan of fia.locder.
+sets, and the exhaustive scan tests each probe against the span of its
+images, so neither shares anything with the probe scan of fia.locder.
 """
 
 import itertools
@@ -209,6 +210,30 @@ def scan_endomorphisms(poset, p):
         n_loc += is_loc
         agree = agree and is_der == is_loc
     return n_der, n_loc, agree
+
+
+def exhaustive_scan(d):
+    """(probes checked, first witness-less probe or None) of d over GF(p).
+
+    Solver-free: probe i has the base-p digits of i on the canonical
+    pairs, least significant first, and d(a) has a witness iff adding it
+    to the images D(a) of leibniz_kernel_basis leaves the rank that
+    dense_rref reads unchanged.  d itself is scanned, never a residue.
+    """
+    poset, ring = d.poset, d.ring
+    p, n = ring.p, poset.npairs
+    basis = leibniz_kernel_basis(poset, ring)
+
+    def image(m, a):
+        return [sum(a[c] * m.cols[c][r] for c in range(n)) % p for r in range(n)]
+
+    for index, digits in enumerate(itertools.product(range(p), repeat=n)):
+        a = digits[::-1]
+        w_a = [image(b, a) for b in basis]
+        if len(dense_rref([*w_a, image(d, a)], ring)) > len(dense_rref(w_a, ring)):
+            entries = {pair: v for pair, v in zip(poset.ipairs, a) if v}
+            return index + 1, FiElement(poset, ring, entries)
+    return p**n, None
 
 
 def commutator_span_basis(poset, ring):

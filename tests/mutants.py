@@ -43,6 +43,10 @@ class Mutant(NamedTuple):
 # The two-unit probes of T(P), and the test that each T(P) kind is needed.
 _CORNERS = "yield from ((xx, yy), (xx, xy), (xy, yy))"
 _LEIBNIZ = ("tests/test_locder.py::test_local_dimension_matches_leibniz_oracle",)
+# The exhaustive scan of d's residue against a solver-free scan of d.
+_RESIDUE = (
+    "tests/test_locder.py::test_exhaustive_scan_of_the_residue_matches_a_solver_free_scan",
+)
 
 MUTANTS = (
     Mutant(
@@ -194,6 +198,20 @@ MUTANTS = (
         "img[-1 - k] = ring.one",
         "img[n + k] = ring.one",
         ("tests/test_locder.py::test_witness_for_against_enumeration_over_gf3",),
+    ),
+    Mutant(
+        "the residue drops one entry",
+        "locder.py",
+        "residue = _linalg.reduce_vector(_endo_row(d), der, ring)",
+        "residue = dict(list(_linalg.reduce_vector(_endo_row(d), der, ring).items())[1:])",
+        _RESIDUE,
+    ),
+    Mutant(
+        "_residual returns early on a one-entry image",
+        "locder.py",
+        "if not target:",
+        "if len(target) <= 1:",
+        _RESIDUE,
     ),
     Mutant(
         "a unit probe's support loses a pair",

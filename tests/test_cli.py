@@ -664,17 +664,18 @@ def test_verb_parses_to_its_defaults(capsys, verb):
 
 
 # Each verb on the golden catalogue, and which of the modules in
-# STARTUP_WATCH it may load: OpenSSL (hashlib) only where a poset hash is
-# read or written, locder only for the locder and theorem verbs, and never
-# dataclasses (inspect, ast, dis, tokenize) or multiprocessing.
-STARTUP_WATCH = ("dataclasses", "hashlib", "fia.locder", "multiprocessing")
+# STARTUP_WATCH it may load: locder only for the locder and theorem verbs,
+# and never hashlib or OpenSSL (_hashlib), as a poset hash takes CPython's
+# own SHA-256, nor dataclasses (inspect, ast, dis, tokenize) or
+# multiprocessing.
+STARTUP_WATCH = ("dataclasses", "hashlib", "_hashlib", "fia.locder", "multiprocessing")
 VERB_LOADS = {
     "poset check": ("chain2.poset", set()),
     "der h1": ("chain3.poset", set()),
-    "der basis": ("chain3.poset", {"hashlib"}),
-    "der decompose": ("chain3.poset chain3.q.der.json", {"hashlib"}),
-    "locder verify": ("chain3.poset chain3.zp3.der.json", {"hashlib", "fia.locder"}),
-    "locder lemmas": ("chain3.poset chain3.q.der.json", {"hashlib", "fia.locder"}),
+    "der basis": ("chain3.poset", set()),
+    "der decompose": ("chain3.poset chain3.q.der.json", set()),
+    "locder verify": ("chain3.poset chain3.zp3.der.json", {"fia.locder"}),
+    "locder lemmas": ("chain3.poset chain3.q.der.json", {"fia.locder"}),
     "theorem enumerate": ("chain3.poset", {"fia.locder"}),
     "theorem random": ("chain3.poset --trials 3", {"fia.locder"}),
 }

@@ -12,6 +12,7 @@ from fia import deriv, locder
 from fia.deriv import (
     LinearEndo,
     _derivation_rref,
+    _endo_row,
     derivation_basis,
     inner,
     inner_basis,
@@ -47,6 +48,7 @@ from helpers import (
     chain,
     commutator_span_basis,
     dense_rref,
+    exhaustive_scan,
     leibniz_kernel_basis,
     leibniz_on_units,
     random_derivation,
@@ -267,12 +269,40 @@ def test_exhaustive_derivation_report_matches_full_scan():
             d = random_derivation(poset, ring, rng, basis)
             der_rows = _derivation_rref(poset, ring).values()
             vectors = _digit_vectors(ring.p, poset.npairs)
-            scan = _first_witnessless(d, der_rows, vectors)
+            scan = _first_witnessless(poset, ring, _endo_row(d), der_rows, vectors)
             assert scan is None
             expected = LocalCheckReport(
                 "exhaustive", "local_derivation", total, ring.designator()
             )
             assert check_local_exhaustive(d).to_json() == expected.to_json()
+
+
+def test_exhaustive_scan_of_the_residue_matches_a_solver_free_scan():
+    # The scan walks d's residue modulo Der and skips each probe at which
+    # that residue's image is zero.  On random non-derivations of every
+    # density, raw and added to a derivation, it must stop where a scan
+    # of d itself against the Leibniz kernel does.
+    rng = random.Random(53)
+    stops = set()
+    for poset in (*small_posets(3), CHAIN2, CHAIN3):
+        n = poset.npairs
+        for ring in (GF(2), GF(3)):
+            basis = derivation_basis(poset, ring)
+            for fill, on_der in itertools.product((1, 2, 3, n * n), (False, True)):
+                if on_der:
+                    d = random_derivation(poset, ring, rng, basis)
+                else:
+                    d = LinearEndo.zero(poset, ring)
+                for _ in range(fill):
+                    d.cols[rng.randrange(n)][rng.randrange(n)] = ring.sample(rng)
+                if is_derivation(d):
+                    continue
+                report = check_local_exhaustive(d)
+                probes, probe = exhaustive_scan(d)
+                assert report.verdict == "rejected"
+                assert (report.probes_checked, report.failing_probe) == (probes, probe)
+                stops.add(probes)
+    assert len(stops) > 10
 
 
 def test_exhaustive_probe_cap_applies_to_derivations(monkeypatch):
@@ -349,7 +379,8 @@ def test_spanning_derivation_report_matches_full_scan():
                 family = list(_spanning_probes(poset, ring, seed))
                 vectors = (_dense_vector(poset, a) for a in family)
                 der_rows = _derivation_rref(poset, ring).values()
-                assert _first_witnessless(d, der_rows, vectors) is None
+                row = _endo_row(d)
+                assert _first_witnessless(poset, ring, row, der_rows, vectors) is None
                 expected = LocalCheckReport(
                     "spanning",
                     "inconclusive",
@@ -773,7 +804,8 @@ def test_random_campaign_rejects_patchworks_that_pass_every_unit(monkeypatch):
             units = [locder._probe_vector(ring, n, (t,)) for t in range(n)]
             d = _patchwork(poset, ring, random.Random(0))
             der_rows = _derivation_rref(poset, ring).values()
-            assert _first_witnessless(d, der_rows, units) is None
+            row = _endo_row(d)
+            assert _first_witnessless(poset, ring, row, der_rows, units) is None
             report = theorem_verify_random(poset, ring, trials=3, seed=4)
             assert report.verdict == "confirmed"
             assert report.s_loc == 3

@@ -1,4 +1,7 @@
+import hashlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,8 @@ from fia.poset import (
     parse_poset,
     random_poset,
 )
+
+from helpers import small_posets
 
 CHAIN3 = "elements: x y z\nx < y\ny < z\n"
 DIAMOND = "elements: bot a b top\nbot < a\nbot < b\na < top\nb < top\n"
@@ -142,6 +147,47 @@ def test_digest_ignores_cover_presentation():
     assert parse_poset("elements: y x\n").digest() != parse_poset(
         "elements: x y\n"
     ).digest()
+
+
+def _four_layers():
+    """64 elements in 4 layers of 16, each below every element of the next."""
+    layers = [[f"l{k}_{i}" for i in range(16)] for k in range(4)]
+    covers = [
+        (a, b) for low, high in zip(layers, layers[1:]) for a in low for b in high
+    ]
+    return Poset([label for layer in layers for label in layer], covers)
+
+
+def _digest_cases():
+    golden = sorted((Path(__file__).resolve().parent / "golden").glob("*.poset"))
+    texts = [path.read_text(encoding="utf-8") for path in golden]
+    return [*map(parse_poset, texts), *small_posets(4), _four_layers()]
+
+
+def test_digest_is_sha256_of_the_serialization():
+    # hashlib is the reference: the digest must match it byte for byte.
+    cases = _digest_cases()
+    assert len(cases[-1]) == 64
+    for p in cases:
+        assert p.digest() == hashlib.sha256(p.serialize().encode()).hexdigest()
+
+
+def test_digest_falls_back_to_hashlib(monkeypatch):
+    # A CPython built without its own SHA-256 module still names posets alike.
+    module = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    expected = [p.digest() for p in _digest_cases()]
+    reference, calls = hashlib.sha256, []
+
+    def sha256(data):
+        calls.append(data)
+        return reference(data)
+
+    monkeypatch.setattr(hashlib, "sha256", sha256)
+    assert [p.digest() for p in _digest_cases()] == expected
+    assert calls == []
+    monkeypatch.setitem(sys.modules, module, None)
+    assert [p.digest() for p in _digest_cases()] == expected
+    assert len(calls) == len(expected)
 
 
 def test_size_cap():
