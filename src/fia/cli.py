@@ -5,9 +5,10 @@ theorem enumerate | random.  JSON output is byte-deterministic (sorted
 keys, canonical entry order); exit code 0 means success or a confirmed
 verdict, 1 a rejected or refuted verdict, 2 a usage, parse or IO error.
 
-build_parser builds every verb from one table, _VERBS, of its handler and
-the arguments it takes after the poset; run reads the poset, which every
-verb takes first, and hands it to the handler.
+One table, _VERBS, declares each verb's handler and the arguments it takes
+after the poset; parse_args reads argv against it and _help prints it.
+run reads the poset, which every verb takes first, and hands it to the
+handler.
 
 Each handler returns its JSON output as an iterable of text chunks, its
 text lines and its exit code, and _emit writes the chosen format chunk by
@@ -23,15 +24,18 @@ every process compiles each fia module it imports, so a process loads
 only what its verb runs: the poset and der verbs never import locder,
 the reports are plain classes (dataclasses would pull in inspect and
 ast), and no verb imports hashlib, which loads OpenSSL: a map's poset
-hash comes from CPython's own SHA-256 module.  See README "Start-up".
+hash comes from CPython's own SHA-256 module.  argv is parsed here, not
+by argparse, which would load gettext and locale, and only q jobs load
+fractions (see scalars), so a zp job loads little beyond the
+interpreter's own start-up.  See README "Start-up".
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import deriv
 from .fialg import AlgebraError, CapExceededError
@@ -235,23 +239,29 @@ def _cmd_theorem_random(poset, args):
     return _json(payload), lines, _verdict_exit(report.verdict)
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise ValueError(f"must be at least 1, got {value}")
     return value
 
 
 # -- each verb's handler and its arguments after the poset, in help order;
-# every verb also takes --format and --out.
+# a name without dashes is an operand.  Every verb also takes _OUTPUT.
 
 _MAP = ("map", {})
 _MODE = ("--mode", {"choices": ("exhaustive", "spanning"), "default": "exhaustive"})
 _TRIALS = ("--trials", {"type": _positive_int, "default": 50})
-_SEED = ("--seed", {"type": int, "default": 0})
+_SEED = ("--seed", {"type": _integer, "default": 0})
+_FORMAT = {"choices": ("json", "text"), "default": "text", "dest": "format_"}
+_OUTPUT = (("--format", _FORMAT), ("--out", {"default": None}))
 
 
 def _ring(default):
@@ -270,33 +280,114 @@ _VERBS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="fia")
-    groups = top.add_subparsers(dest="group", required=True)
-    commands = {}
-    for (group, command), (handler, *specs) in _VERBS.items():
-        if group not in commands:
-            commands[group] = groups.add_parser(group).add_subparsers(
-                dest="command", required=True
-            )
-        p = commands[group].add_parser(command)
-        p.add_argument("poset")
-        for name, kwargs in specs:
-            p.add_argument(name, **kwargs)
-        p.add_argument(
-            "--format", choices=("json", "text"), default="text", dest="format_"
-        )
-        p.add_argument("--out", default=None, help="write output to a file")
-        p.set_defaults(handler=handler)
-    return top
+class UsageError(Exception):
+    """A command line that fits no verb: (the verb words read, message)."""
+
+
+def _is_option(token: str) -> bool:
+    # A lone dash and a negative number are operands or option values.
+    return token[:1] == "-" and token != "-" and not token[1:].isdecimal()
+
+
+def _arguments(verb):
+    """Every argument a verb takes, the poset first."""
+    return [("poset", {}), *_VERBS[verb][1:], *_OUTPUT]
+
+
+def _next_words(words) -> list[str]:
+    """The words that may follow words on the way to a verb, in _VERBS order."""
+    n = len(words)
+    return list(dict.fromkeys(verb[n] for verb in _VERBS if verb[:n] == words))
+
+
+def _usage(words) -> str:
+    """The usage line of the verb words, or of the verbs that words begin."""
+    if words not in _VERBS:
+        choices = "{" + ",".join(_next_words(words)) + "}"
+        return " ".join(["usage: fia", *words, "[-h]", choices, "..."])
+    parts = [
+        f"[{name} {{{','.join(spec['choices'])}}}]" if "choices" in spec
+        else f"[{name} {name[2:].upper()}]" if _is_option(name)
+        else name
+        for name, spec in _arguments(words)
+    ]
+    return " ".join(["usage: fia", *words, "[-h]", *parts])
+
+
+def _choose(words, what, text, choices):
+    if text not in choices:
+        listed = ", ".join(choices)
+        message = f"argument {what}: invalid choice: {text!r} (choose from {listed})"
+        raise UsageError(words, message)
+
+
+def parse_args(argv):
+    """The namespace a handler reads: group, command, handler, poset, the
+    verb's other operands and options, format_ and out.
+
+    Options match by their whole name, take their value as the next
+    argument or after "=", may stand before, between or after the
+    operands, and the last of a repeated option wins.  Raises UsageError.
+    """
+    words, rest = (), list(argv)
+    while words not in _VERBS:
+        what = ("group", "command")[len(words)]
+        if not rest:
+            raise UsageError(words, f"the following arguments are required: {what}")
+        _choose(words, what, rest[0], _next_words(words))
+        words += (rest.pop(0),)
+    specs = _arguments(words)
+    operands = [name for name, _ in specs if not _is_option(name)]
+    options = {name: spec for name, spec in specs if _is_option(name)}
+    dests = {name: spec.get("dest", name[2:]) for name, spec in options.items()}
+    args = {dests[name]: spec["default"] for name, spec in options.items()}
+    given, unknown = [], []
+    tokens = iter(rest)
+    for token in tokens:
+        if not _is_option(token):
+            (given if len(given) < len(operands) else unknown).append(token)
+            continue
+        name, eq, text = token.partition("=")
+        spec = options.get(name)
+        if spec is None:
+            unknown.append(token)
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None or _is_option(text):
+                raise UsageError(words, f"argument {name}: expected one argument")
+        if "choices" in spec:
+            _choose(words, name, text, spec["choices"])
+        try:
+            args[dests[name]] = spec.get("type", str)(text)
+        except ValueError as exc:
+            raise UsageError(words, f"argument {name}: {exc}") from None
+    if len(given) < len(operands):
+        missing = ", ".join(operands[len(given):])
+        raise UsageError(words, f"the following arguments are required: {missing}")
+    if unknown:
+        raise UsageError(words, f"unrecognized arguments: {' '.join(unknown)}")
+    args.update(zip(operands, given))
+    handler = _VERBS[words][0]
+    return SimpleNamespace(group=words[0], command=words[1], handler=handler, **args)
+
+
+def _help() -> str:
+    """The usage line of fia and of every verb, in _VERBS order."""
+    verbs = [_usage(verb).replace("usage:", " ", 1) for verb in _VERBS]
+    return "\n".join([_usage(()), "", "verbs:", *verbs, ""])
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help())
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+        args = parse_args(argv)
+    except UsageError as exc:
+        words, message = exc.args
+        print(_usage(words), f"fia: error: {message}", sep="\n", file=sys.stderr)
+        return 2
     try:
         json_chunks, lines, code = args.handler(_read_poset(args.poset), args)
         text = (line + "\n" for line in lines)

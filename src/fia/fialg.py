@@ -9,10 +9,8 @@ an element to an interval corner are provided as constructors.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .poset import Poset, PosetError
-from .scalars import CoeffRing, RingMismatchError, parse_ring
+from .scalars import CoeffRing, RingMismatchError, is_fraction, parse_ring
 
 
 class AlgebraError(ValueError):
@@ -119,7 +117,9 @@ class FiElement:
         return FiElement(self.poset, ring, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if isinstance(other, bool):
+            return NotImplemented
+        if isinstance(other, int) or is_fraction(other):
             return self.scale(other)
         return NotImplemented
 

@@ -6,12 +6,17 @@ denominator, prime-field residues lie in [0, p).  A CoeffRing does all
 the arithmetic on these raw values (Fraction for q, int for zp), with
 operations chosen once when the ring is built, and the library takes
 and returns the values as they are.
+
+Only q loads fractions (and with it decimal and numbers): QQ is built on
+first use, each q branch imports Fraction where it makes one, and a test
+for a Fraction reads sys.modules, since no value can be a Fraction before
+fractions is loaded.  A zp job thus never loads it; see README "Start-up".
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
+import sys
 
 MAX_MODULUS = 1 << 31
 
@@ -62,6 +67,8 @@ class CoeffRing:
         self.kind = kind
         self.p = p
         if kind == "q":
+            from fractions import Fraction
+
             self.zero, self.one = Fraction(0), Fraction(1)
             self.add, self.sub = operator.add, operator.sub
             self.neg, self.mul = operator.neg, operator.mul
@@ -106,6 +113,8 @@ class CoeffRing:
 
     def from_int(self, n: int):
         if self.kind == "q":
+            from fractions import Fraction
+
             return Fraction(n)
         return n % self.p
 
@@ -115,7 +124,7 @@ class CoeffRing:
             raise RingError("bool is not a ring value")
         if isinstance(value, int):
             return self.from_int(value)
-        if isinstance(value, Fraction):
+        if is_fraction(value):
             if self.kind == "q":
                 return value
             raise RingError(
@@ -125,6 +134,8 @@ class CoeffRing:
 
     def inv(self, a):
         if self.kind == "q":
+            from fractions import Fraction
+
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
             return 1 / Fraction(a)
@@ -137,6 +148,8 @@ class CoeffRing:
     def sample(self, rng):
         """Draw a small raw value, deterministically from the given rng."""
         if self.kind == "q":
+            from fractions import Fraction
+
             return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         return rng.randrange(self.p)
 
@@ -164,6 +177,8 @@ class CoeffRing:
             den = _json_integer(obj["den"], "denominator")
             if den < 1:
                 raise RingError("denominator must be a positive decimal")
+            from fractions import Fraction
+
             return Fraction(num, den)
         if set(obj) != {"res"}:
             raise RingError(f"residue scalar needs res, got {obj!r}")
@@ -171,6 +186,12 @@ class CoeffRing:
         if type(res) is not int or not 0 <= res < self.p:
             raise RingError(f"residue {res!r} out of range for p={self.p}")
         return res
+
+
+def is_fraction(value) -> bool:
+    """Whether value is a Fraction, without importing fractions."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
 
 
 def _json_integer(value, what: str) -> int:
@@ -190,7 +211,19 @@ def _json_integer(value, what: str) -> int:
     raise RingError(f"{what} must be an integer or decimal string, got {value!r}")
 
 
-QQ = CoeffRing("q")
+def _rationals() -> CoeffRing:
+    ring = globals().get("QQ")
+    if ring is None:
+        ring = globals().setdefault("QQ", CoeffRing("q"))
+    return ring
+
+
+def __getattr__(name):
+    # QQ, the one q ring, is made on first use (PEP 562).
+    if name == "QQ":
+        return _rationals()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _gf_cache: dict[int, CoeffRing] = {}
 
@@ -207,7 +240,7 @@ def parse_ring(designator: str) -> CoeffRing:
     if not isinstance(designator, str):
         raise RingError(f"ring designator must be a string, got {designator!r}")
     if designator == "q":
-        return QQ
+        return _rationals()
     if designator.startswith("zp:"):
         # Only the designator GF(p) prints: ASCII digits with no sign,
         # space, underscore or leading zero, all of which int() allows.

@@ -137,6 +137,33 @@ MUTANTS = (
         ("tests/test_cli.py::test_scalar_caps_admit_their_bound[campaign]",),
     ),
     Mutant(
+        "an unrecognized option is skipped",
+        "cli.py",
+        "unknown.append(token)\n            continue",
+        "continue",
+        (
+            "tests/test_cli.py::test_usage_error_is_one_usage_and_one_error_line[unknown option]",
+            "tests/test_cli.py::test_verb_parses_to_its_defaults[poset check]",
+        ),
+    ),
+    Mutant(
+        "--trials accepts 0",
+        "cli.py",
+        "if value < 1:",
+        "if value < 0:",
+        (
+            "tests/test_cli.py::test_usage_error_is_one_usage_and_one_error_line[zero trials]",
+            "tests/test_cli.py::test_theorem_random_trials_must_be_positive",
+        ),
+    ),
+    Mutant(
+        "QQ is rebuilt on every access",
+        "scalars.py",
+        'ring = globals().setdefault("QQ", CoeffRing("q"))',
+        'ring = CoeffRing("q")',
+        ("tests/test_scalars.py::test_qq_is_one_object_made_on_first_use",),
+    ),
+    Mutant(
         "der basis refuses a basis at the scalar cap",
         "cli.py",
         "if scalars > BASIS_SCALAR_CAP:",

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from fia import deriv, locder
-from fia.cli import build_parser, run
+from fia.cli import _VERBS, UsageError, parse_args, run
 from fia.deriv import derivation_basis, inner, sigma_endo
 from fia.fialg import element, element_from_json
 from fia.poset import parse_poset, random_poset
@@ -616,9 +616,7 @@ def test_usage_errors_exit_2():
     assert run([]) == 2
 
 
-# Each verb's operands after the poset and the defaults it parses to.  The
-# parsed namespace, not the help text, pins the interface, since argparse
-# words its help differently from one Python version to the next.
+# Each verb's operands after the poset and the defaults it parses to.
 OUTPUT_DEFAULTS = {"format_": "text", "out": None}
 VERB_DEFAULTS = {
     "poset check": ((), {}),
@@ -643,11 +641,11 @@ VERB_OPTIONS = {
 
 
 @pytest.mark.parametrize("verb", sorted(VERB_DEFAULTS))
-def test_verb_parses_to_its_defaults(capsys, verb):
+def test_verb_parses_to_its_defaults(verb):
     group, command = verb.split()
     operands, defaults = VERB_DEFAULTS[verb]
-    args = vars(build_parser().parse_args([group, command, "p.poset", *operands]))
-    assert callable(args.pop("handler"))
+    args = vars(parse_args([group, command, "p.poset", *operands]))
+    assert args.pop("handler") is _VERBS[group, command][0]
     assert args == {
         "group": group, "command": command, "poset": "p.poset",
         **defaults, **OUTPUT_DEFAULTS,
@@ -655,35 +653,191 @@ def test_verb_parses_to_its_defaults(capsys, verb):
     for option, value in VERB_OPTIONS.items():
         argv = [group, command, "p.poset", *operands, option, value]
         if option.lstrip("-").replace("-", "_") in defaults:
-            build_parser().parse_args(argv)
+            parse_args(argv)
             continue
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        with pytest.raises(UsageError) as exc:
+            parse_args(argv)
+        assert exc.value.args == (
+            (group, command), f"unrecognized arguments: {option} {value}"
+        )
+
+
+RANDOM_USAGE = (
+    "usage: fia theorem random [-h] poset [--ring RING] [--trials TRIALS]"
+    " [--seed SEED] [--format {json,text}] [--out OUT]"
+)
+VERIFY_USAGE = (
+    "usage: fia locder verify [-h] poset map [--mode {exhaustive,spanning}]"
+    " [--seed SEED] [--format {json,text}] [--out OUT]"
+)
+GROUP_USAGE = "usage: fia [-h] {poset,der,locder,theorem} ..."
+# argv after "fia", then the usage line and the error line on stderr; the
+# parser is fia's own, so the wording holds on every Python version.
+USAGE_ERRORS = {
+    "no verb": ("", GROUP_USAGE, "the following arguments are required: group"),
+    "unknown verb": (
+        "prove",
+        GROUP_USAGE,
+        "argument group: invalid choice: 'prove' "
+        "(choose from poset, der, locder, theorem)",
+    ),
+    "no command": (
+        "der",
+        "usage: fia der [-h] {basis,h1,decompose} ...",
+        "the following arguments are required: command",
+    ),
+    "unknown command": (
+        "theorem certify p.poset",
+        "usage: fia theorem [-h] {enumerate,random} ...",
+        "argument command: invalid choice: 'certify' (choose from enumerate, random)",
+    ),
+    "missing poset": (
+        "theorem random --seed 3",
+        RANDOM_USAGE,
+        "the following arguments are required: poset",
+    ),
+    "missing map": (
+        "locder verify p.poset",
+        VERIFY_USAGE,
+        "the following arguments are required: map",
+    ),
+    "extra operand": (
+        "theorem random p.poset q.poset",
+        RANDOM_USAGE,
+        "unrecognized arguments: q.poset",
+    ),
+    "unknown option": (
+        "theorem random p.poset --probe-cap 9 --bogus=1",
+        RANDOM_USAGE,
+        "unrecognized arguments: --probe-cap 9 --bogus=1",
+    ),
+    "abbreviated option": (
+        "theorem random p.poset --form json",
+        RANDOM_USAGE,
+        "unrecognized arguments: --form json",
+    ),
+    "option at the end without its value": (
+        "theorem random p.poset --seed",
+        RANDOM_USAGE,
+        "argument --seed: expected one argument",
+    ),
+    "option followed by an option": (
+        "theorem random p.poset --ring --seed 3",
+        RANDOM_USAGE,
+        "argument --ring: expected one argument",
+    ),
+    "bad choice": (
+        "locder verify p.poset m.json --mode full",
+        VERIFY_USAGE,
+        "argument --mode: invalid choice: 'full' (choose from exhaustive, spanning)",
+    ),
+    "bad format": (
+        "theorem random p.poset --format=yaml",
+        RANDOM_USAGE,
+        "argument --format: invalid choice: 'yaml' (choose from json, text)",
+    ),
+    "non-integer seed": (
+        "theorem random p.poset --seed 1.5",
+        RANDOM_USAGE,
+        "argument --seed: invalid int value: '1.5'",
+    ),
+    "non-integer trials": (
+        "theorem random p.poset --trials ten",
+        RANDOM_USAGE,
+        "argument --trials: invalid int value: 'ten'",
+    ),
+    "zero trials": (
+        "theorem random p.poset --trials 0",
+        RANDOM_USAGE,
+        "argument --trials: must be at least 1, got 0",
+    ),
+    "negative trials": (
+        "theorem random p.poset --trials=-5",
+        RANDOM_USAGE,
+        "argument --trials: must be at least 1, got -5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_is_one_usage_and_one_error_line(capsys, case):
+    argv, usage, error = USAGE_ERRORS[case]
+    assert run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{usage}\nfia: error: {error}\n"
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("before", ["", "der", "locder verify p.poset"])
+def test_help_lists_every_verb(capsys, before, flag):
+    assert run([*before.split(), flag]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == GROUP_USAGE
+    verbs = [line.split("[-h]")[0].split()[1:] for line in lines[3:]]
+    assert verbs == [list(verb) for verb in _VERBS]
+    assert f"  {VERIFY_USAGE[len('usage: '):]}" in lines
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "theorem random p.poset --ring zp:3 --trials 7 --seed -2 --format json",
+        "theorem random --ring=zp:3 --trials=7 --seed=-2 --format=json p.poset",
+        "theorem random --seed 4 p.poset --trials 1 --ring q --trials 7"
+        " --ring zp:3 --seed=-2 --format text --format json",
+    ],
+    ids=["after the poset", "with = before the poset", "repeated, the last wins"],
+)
+def test_option_syntax(argv):
+    args = vars(parse_args(argv.split()))
+    args.pop("handler")
+    assert args == {
+        "group": "theorem", "command": "random", "poset": "p.poset",
+        "ring": "zp:3", "trials": 7, "seed": -2, "format_": "json", "out": None,
+    }
+
+
+def test_negative_number_and_lone_dash_are_operands():
+    args = parse_args(["locder", "lemmas", "-", "-3", "--seed", "-4"])
+    assert (args.poset, args.map, args.seed) == ("-", "-3", -4)
 
 
 # Each verb on the golden catalogue, and which of the modules in
 # STARTUP_WATCH it may load: locder only for the locder and theorem verbs,
-# and never hashlib or OpenSSL (_hashlib), as a poset hash takes CPython's
-# own SHA-256, nor dataclasses (inspect, ast, dis, tokenize) or
-# multiprocessing.
-STARTUP_WATCH = ("dataclasses", "hashlib", "_hashlib", "fia.locder", "multiprocessing")
+# fractions only over q, and never hashlib or OpenSSL (_hashlib), as a
+# poset hash takes CPython's own SHA-256, nor dataclasses (inspect, ast,
+# dis, tokenize), multiprocessing, or argparse and the gettext and locale
+# it loads.  decimal may load only with fractions, which imports it.
+STARTUP_WATCH = (
+    "argparse", "gettext", "locale", "fractions", "decimal",
+    "dataclasses", "hashlib", "_hashlib", "fia.locder", "multiprocessing",
+)
+Q = {"fractions"}
+LOCDER = {"fia.locder"}
 VERB_LOADS = {
     "poset check": ("chain2.poset", set()),
-    "der h1": ("chain3.poset", set()),
-    "der basis": ("chain3.poset", set()),
-    "der decompose": ("chain3.poset chain3.q.der.json", set()),
-    "locder verify": ("chain3.poset chain3.zp3.der.json", {"fia.locder"}),
-    "locder lemmas": ("chain3.poset chain3.q.der.json", {"fia.locder"}),
-    "theorem enumerate": ("chain3.poset", {"fia.locder"}),
-    "theorem random": ("chain3.poset --trials 3", {"fia.locder"}),
+    "der h1": ("chain3.poset", Q),
+    "der h1 zp": ("chain3.poset --ring zp:3", set()),
+    "der basis": ("chain3.poset", Q),
+    "der decompose": ("chain3.poset chain3.q.der.json", Q),
+    "der decompose zp": ("crown.poset crown.zp2.der.json", set()),
+    "locder verify": ("chain3.poset chain3.zp3.der.json", LOCDER),
+    "locder verify q": ("chain3.poset chain3.q.der.json --mode spanning", LOCDER | Q),
+    "locder lemmas": ("chain3.poset chain3.q.der.json", LOCDER | Q),
+    "locder lemmas zp": ("chain3.poset chain3.zp3.der.json", LOCDER),
+    "theorem enumerate": ("chain3.poset", LOCDER),
+    "theorem random": ("chain3.poset --trials 3", LOCDER | Q),
+    "theorem random zp": ("chain3.poset --trials 3 --ring zp:2", LOCDER),
 }
 
 
-@pytest.mark.parametrize("verb", sorted(VERB_LOADS))
-def test_verb_loads_only_what_it_uses(verb):
-    operands, expected = VERB_LOADS[verb]
+@pytest.mark.parametrize("job", sorted(VERB_LOADS))
+def test_verb_loads_only_what_it_uses(job):
+    verb = " ".join(job.split()[:2])
+    operands, expected = VERB_LOADS[job]
     code = (
         "import runpy, sys\n"
         "try:\n"
@@ -702,7 +856,8 @@ def test_verb_loads_only_what_it_uses(verb):
     )
     exit_code, *loaded = proc.stderr.split()
     assert exit_code == "0"
-    assert set(loaded) == expected
+    assert set(loaded) - {"decimal"} == expected
+    assert "decimal" not in loaded or "fractions" in loaded
 
 
 NO_DEV_FULL = pytest.mark.skipif(

@@ -1,7 +1,10 @@
 import copy
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +19,7 @@ from fia.scalars import (
     parse_ring,
 )
 
-from helpers import CHAIN3
+from helpers import CHAIN3, child_env
 
 
 def test_designators_round_trip():
@@ -217,3 +220,45 @@ def test_scalar_from_json_rejects_booleans():
         QQ.scalar_from_json({"num": True, "den": "1"})
     with pytest.raises(RingError):
         QQ.scalar_from_json({"num": "1", "den": False})
+
+
+def _fresh_python(code: str) -> list[str]:
+    """The words code prints in a child Python, run in tests/golden."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        cwd=Path(__file__).resolve().parent / "golden",
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_qq_is_one_object_made_on_first_use():
+    # QQ is made on first access; every route to it, a pickle round trip
+    # and a deep copy must all give that one object.
+    code = (
+        "import copy, pickle, sys\n"
+        "import fia, fia.scalars\n"
+        "from fia.scalars import parse_ring\n"
+        "print('fractions' in sys.modules)\n"
+        "from fia.scalars import QQ\n"
+        "rings = [QQ, fia.QQ, fia.scalars.QQ, parse_ring('q'),\n"
+        "         pickle.loads(pickle.dumps(QQ)), copy.deepcopy(QQ)]\n"
+        "print(len({id(ring) for ring in rings}), QQ.designator())\n"
+    )
+    assert _fresh_python(code) == ["False", "1", "q"]
+
+
+def test_a_zp_check_never_loads_fractions():
+    code = (
+        "import json, sys\n"
+        "from fia import check_local_exhaustive, endo_from_json, parse_poset\n"
+        "poset = parse_poset(open('chain3.poset').read())\n"
+        "for name in ('chain3.zp3.der.json', 'chain3.zp3.miss.json'):\n"
+        "    d = endo_from_json(poset, json.load(open(name)))\n"
+        "    print(check_local_exhaustive(d).verdict)\n"
+        "print(*(m in sys.modules for m in ('fractions', 'decimal')))\n"
+    )
+    assert _fresh_python(code) == ["local_derivation", "rejected", "False", "False"]
