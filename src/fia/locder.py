@@ -2,29 +2,28 @@
 
 A linear map d is a local derivation when every element a has a
 derivation witness agreeing with d there, i.e. d(a) lies in the subspace
-W_a = {D(a) : D a derivation}.  _images forms the D_k(a) from sparse rows
-D_k of Der, reduced once per caller, and d(a) from d as one such row; the
-witness test reduces d(a) against their echelon basis, and witness_for
-reads a combination of its caller's maps off the same elimination.  The
-condition is linear in d, so the local derivations form a subspace Loc
-containing the derivations Der.
+W_a = {D(a) : D a derivation}.  For verify, _images forms the D_k(a) from
+sparse rows D_k of Der, reduced once per caller, and d(a) from d as one
+such row; the witness test reduces d(a) against their echelon basis, and
+witness_for reads a combination of its caller's maps off the same
+elimination.  The condition is linear in d, so the local derivations form
+a subspace Loc containing the derivations Der.
 
 A derivation passes every probe without a scan.  Verify reduces any
 other map modulo Der once and scans that residue up to its first
 witness-less probe, skipping the elimination at every probe the residue
-sends to zero; the campaign scans its dense samples raw.  Verify's
-exhaustive mode probes every element over a prime field; its spanning
-mode probes the structured families (units, subset idempotents, the
-chain elements e_xy + e_yz - e_xz - e_y, seeded random elements) and
-never certifies.
+sends to zero.  Verify's exhaustive mode probes every element over a
+prime field; its spanning mode probes the structured families (units,
+subset idempotents, the chain elements e_xy + e_yz - e_xz - e_y, seeded
+random elements) and never certifies.
 A family longer than PROBE_CAP, a constant that never picks it, is refused.
 
-Both theorem harnesses rest on T(P), which saturates over any field:
-local_dimension reads dim Loc off it from the commutator rows alone, as
-W_a = [FI, a] there, enumerate compares that with dim Der over a prime
-field, and the campaign scans each sampled non-derivation over it.  T(P)
-is linear in npairs, so no cap is charged for it.  Everything runs in
-one process, in a fixed order, so a report depends only on its inputs.
+Both theorem harnesses rest on T(P), which saturates over any field, and
+read W_a = [FI, a] on its probes from _t_p_spans: local_dimension reads
+dim Loc off them, enumerate compares that with dim Der over a prime field,
+and the campaign reduces each sampled non-derivation's d(a) against them.
+T(P) is linear in npairs, so no cap is charged for it.  Everything runs
+in one process, in a fixed order, so a report depends only on its inputs.
 
 Each report is declared once.  The verify and theorem reports write
 their set fields through one to_json, and the lemma checks are one
@@ -199,20 +198,6 @@ def witness_for(d: LinearEndo, a: FiElement, der_basis) -> LinearEndo | None:
 # -- the probe scan ----------------------------------------------------------
 
 
-def _first_witnessless(poset, ring, row, der_rows, vectors):
-    """(index, probe) of the first dense probe vector with no witness, or None.
-
-    The map scanned is one sparse row, as _endo_row writes it.
-    """
-    n = poset.npairs
-    rows = [row, *der_rows]
-    for index, vec in enumerate(vectors):
-        if _residual(ring, rows, vec, n):
-            entries = {pair: v for pair, v in zip(poset.ipairs, vec) if v}
-            return index, FiElement(poset, ring, entries)
-    return None
-
-
 def _check_local(d, mode, seed=None):
     """The probe scan behind both verify modes.
 
@@ -223,7 +208,8 @@ def _check_local(d, mode, seed=None):
     which probes_checked counts.  What is scanned is d's residue modulo
     Der: D(a) lies in W_a for every D in Der, so d and d - D have
     witnesses at the same probes, and each probe at which the residue's
-    image is zero passes with no elimination.  Passing every probe is
+    image is zero passes with no elimination.  W_a is read off Der's rows,
+    as off T(P) it can exceed [FI, a].  Passing every probe is
     local_derivation in exhaustive mode and only inconclusive in spanning
     mode.
     """
@@ -237,23 +223,18 @@ def _check_local(d, mode, seed=None):
     if total > PROBE_CAP:
         raise CapExceededError(f"{total} {mode} probes exceed the cap of {PROBE_CAP}")
     designator = ring.designator()
-    fail = None
     if not is_derivation(d):
         der = _derivation_rref(poset, ring)
-        residue = _linalg.reduce_vector(_endo_row(d), der, ring)
-        fail = _first_witnessless(poset, ring, residue, der.values(), vectors)
-    if fail is None:
-        verdict = VERDICT_LOCAL if mode == "exhaustive" else VERDICT_INCONCLUSIVE
-        return LocalCheckReport(mode, verdict, total, designator, seed=seed)
-    index, probe = fail
-    return LocalCheckReport(
-        mode,
-        VERDICT_REJECTED,
-        index + 1,
-        designator,
-        failing_probe=probe,
-        seed=seed,
-    )
+        rows = [_linalg.reduce_vector(_endo_row(d), der, ring), *der.values()]
+        for index, vec in enumerate(vectors, 1):
+            if _residual(ring, rows, vec, poset.npairs):
+                entries = {pair: v for pair, v in zip(poset.ipairs, vec) if v}
+                probe = FiElement(poset, ring, entries)
+                return LocalCheckReport(
+                    mode, VERDICT_REJECTED, index, designator, probe, seed
+                )
+    verdict = VERDICT_LOCAL if mode == "exhaustive" else VERDICT_INCONCLUSIVE
+    return LocalCheckReport(mode, verdict, total, designator, seed=seed)
 
 
 def _digit_vectors(p: int, n: int):
@@ -434,27 +415,42 @@ def _probe_family(poset: Poset):
         yield pos(x, y), pos(x, z), pos(y, y), pos(y, z)
 
 
-def _probe_vector(ring: CoeffRing, n: int, probe) -> list:
-    """A T(P) probe as the dense vector _images reads."""
-    return [ring.one if c in probe else ring.zero for c in range(n)]
+def _t_p_spans(poset: Poset, ring: CoeffRing):
+    """Each probe a of T(P), in order, with W_a = [FI, a] in reduced echelon form.
+
+    The commutator rows are filed once by column, as (row k, pair r, value),
+    and a's image under row k sums them over a's own columns: about |a|*|P|
+    entries.  Zero sums are dropped: on e_x + e_y, [e_xy, .] cancels.
+    """
+    n = poset.npairs
+    by_column = [[] for _ in range(n)]
+    for k, row in enumerate(_commutator_rows(poset, ring)):
+        for var, v in row.items():
+            by_column[var // n].append((k, var % n, v))
+    add, zero = ring.add, ring.zero
+    for probe in _probe_family(poset):
+        images: dict[int, dict] = {}
+        for c in probe:
+            for k, r, v in by_column[c]:
+                image = images.setdefault(k, {})
+                image[r] = add(image.get(r, zero), v)
+        spans = ({r: v for r, v in image.items() if v} for image in images.values())
+        yield probe, _linalg.rref(spans, ring)
 
 
 def local_dimension(poset: Poset, ring: CoeffRing) -> int:
     """dim Loc over any field, as the nullity of the conditions of T(P).
 
-    Each probe a asks y . d(a) = 0 per annihilator y of W_a = [FI, a], from
-    the commutator rows.  Unit e_c keeps d(e_c) on the pivots S_c of W_{e_c},
-    the variables; any other a takes y over the union of its S_c.  Loc lies
-    between Der and the maps passing T(P), which _probe_family proves are
-    Der, so the nullity is dim Loc; equal to dim Der, it certifies Loc = Der.
+    Each probe a asks y . d(a) = 0 per annihilator y of W_a from _t_p_spans.
+    Unit e_c keeps d(e_c) on the pivots S_c of W_{e_c}, the variables; any
+    other a takes y over the union of its S_c.  Loc lies between Der and the
+    maps passing T(P), which _probe_family proves are Der, so the nullity is
+    dim Loc; equal to dim Der, it certifies Loc = Der.
     """
     n = poset.npairs
-    commutators = list(_commutator_rows(poset, ring))
     supports = [range(n)] * n
     pivots: dict[int, dict] = {}
-    for probe in _probe_family(poset):
-        vec = _probe_vector(ring, n, probe)
-        w_a = _linalg.rref(_images(ring, commutators, vec, n), ring)
+    for probe, w_a in _t_p_spans(poset, ring):
         if len(probe) == 1:
             supports[probe[0]] = w_a.keys()
             continue
@@ -512,10 +508,10 @@ def theorem_verify_random(
 
     Random derivations (combinations of the derivation basis) must pass
     is_derivation, and random non-derivations must fail a probe of T(P),
-    which saturates.  A sample that passes is charged |T(P)| probes and
-    any other its first failing probe's index plus one.  T(P) is listed
-    once, as position tuples, and each probe's dense vector is made only
-    when it is scanned; the sample maps are what CAMPAIGN_SCALAR_CAP bounds.
+    which saturates.  The maps scanned walk the _t_p_spans stream together,
+    each up to the first probe a with d(a), the sum of d's columns at a,
+    outside W_a; it is charged that probe's index plus one, and any other
+    sample |T(P)|.  Der's rows only draw the derivation samples.
     """
     if trials < 1:
         raise AlgebraError(f"a campaign needs trials >= 1, got {trials}")
@@ -525,7 +521,6 @@ def theorem_verify_random(
             f"{trials} trials of {n}x{n} sample maps, at least 16 scalars each,"
             f" exceed the cap of {CAMPAIGN_SCALAR_CAP} scalars; lower --trials"
         )
-    family = list(_probe_family(poset))
     der_rows = _derivation_rref(poset, ring).values()
     rng = random.Random(seed)
 
@@ -536,22 +531,27 @@ def theorem_verify_random(
     ]
     if len(der_rows) < n * n:
         samples += [_non_derivation(poset, ring, rng) for _ in range(trials)]
-    confirmed, s_loc, probes = True, 0, 0
-    for k, d in enumerate(samples):
-        # Non-derivations met is_derivation while being sampled.
-        derivation = k < trials and is_derivation(d)
-        vectors = (_probe_vector(ring, n, probe) for probe in family)
-        fail = None
-        if not derivation:
-            # A dense sample is scanned raw: reducing it modulo Der costs
-            # more than the few probes it takes to fail.
-            fail = _first_witnessless(poset, ring, _endo_row(d), der_rows, vectors)
-        confirmed = confirmed and (derivation if k < trials else fail is not None)
-        s_loc += fail is None
-        probes += len(family) if fail is None else fail[0] + 1
+    # Non-derivations met is_derivation while being sampled.
+    passed = [is_derivation(d) for d in samples[:trials]]
+    pending = [d for d, ok in zip(samples, passed + [False] * trials) if not ok]
+    stops = []
+    for index, (probe, w_a) in enumerate(_t_p_spans(poset, ring), 1):
+        passing = []
+        for d in pending:
+            sums = map(sum, zip(*(d.cols[c] for c in probe)))
+            image = {r: v for r, v in enumerate(map(ring.canonical, sums)) if v}
+            if _linalg.reduce_vector(image, w_a, ring):
+                stops.append(index)
+            else:
+                passing.append(d)
+        pending = passing
+        if not pending:
+            break
+    s_loc = len(samples) - len(stops)
+    probes = sum(stops) + s_loc * sum(1 for _ in _probe_family(poset))
     return TheoremReport(
         "random",
-        VERDICT_CONFIRMED if confirmed else VERDICT_REFUTED,
+        VERDICT_CONFIRMED if all(passed) and not pending else VERDICT_REFUTED,
         ring.designator(),
         trials,
         s_loc,

@@ -6,7 +6,9 @@ the replacement is made.  The runner copies src/, tests/ and
 pyproject.toml to a temporary directory, applies one mutant to the copy,
 runs that mutant's tests there and reads their outcomes from a JUnit XML
 report.  The same tests first run once on an unmutated copy, where all
-must pass, so a failure is the mutant's doing.  It exits 1 if any mutant
+must pass, so a failure is the mutant's doing.  The mutants then run on
+os.cpu_count() worker threads, each in its own copy and pytest process,
+and are reported in table order.  It exits 1 if any mutant
 survives (one of its tests passes) or cannot be applied, and 0 when every
 mutant is killed:
 
@@ -25,6 +27,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -52,8 +55,8 @@ MUTANTS = (
     Mutant(
         "campaign scans unit probes only",
         "locder.py",
-        "family = list(_probe_family(poset))",
-        "family = [probe for probe in _probe_family(poset) if len(probe) == 1]",
+        "enumerate(_t_p_spans(poset, ring), 1)",
+        "enumerate(((p, w) for p, w in _t_p_spans(poset, ring) if len(p) == 1), 1)",
         ("tests/test_locder.py::test_random_campaign_rejects_patchworks_that_pass_every_unit",),
     ),
     Mutant(
@@ -229,8 +232,9 @@ MUTANTS = (
     Mutant(
         "the residue drops one entry",
         "locder.py",
-        "residue = _linalg.reduce_vector(_endo_row(d), der, ring)",
-        "residue = dict(list(_linalg.reduce_vector(_endo_row(d), der, ring).items())[1:])",
+        "rows = [_linalg.reduce_vector(_endo_row(d), der, ring), *der.values()]",
+        "rows = [dict(list(_linalg.reduce_vector(_endo_row(d), der, ring).items())[1:]),"
+        " *der.values()]",
         _RESIDUE,
     ),
     Mutant(
@@ -252,6 +256,20 @@ MUTANTS = (
         "locder.py",
         "for c in probe for r in y if r in supports[c]}",
         "for c in probe for r in y}",
+        _LEIBNIZ,
+    ),
+    Mutant(
+        "T(P) spans read only the first unit's column",
+        "locder.py",
+        "for c in probe:\n            for k, r, v in by_column[c]:",
+        "for c in probe[:1]:\n            for k, r, v in by_column[c]:",
+        _LEIBNIZ,
+    ),
+    Mutant(
+        "T(P) spans keep zero images",
+        "locder.py",
+        "{r: v for r, v in image.items() if v} for image",
+        "image for image",
         _LEIBNIZ,
     ),
     Mutant(
@@ -337,8 +355,9 @@ def main() -> int:
         print(f"unmutated tree fails the mutants' tests: {failing}")
         return 1
     status = 0
-    for mutant in MUTANTS:
-        outcomes = _run(mutant.tests, mutant)
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        results = list(pool.map(lambda mutant: _run(mutant.tests, mutant), MUTANTS))
+    for mutant, outcomes in zip(MUTANTS, results):
         if isinstance(outcomes, str):
             why = outcomes
         else:

@@ -12,7 +12,6 @@ from fia import deriv, locder
 from fia.deriv import (
     LinearEndo,
     _derivation_rref,
-    _endo_row,
     derivation_basis,
     inner,
     inner_basis,
@@ -23,9 +22,6 @@ from fia.fialg import AlgebraError, FiElement, delta, element, unit, zero
 from fia.locder import (
     CapExceededError,
     LocalCheckReport,
-    _dense_vector,
-    _digit_vectors,
-    _first_witnessless,
     _spanning_probes,
     check_local_exhaustive,
     check_local_spanning,
@@ -256,9 +252,16 @@ def test_exhaustive_empty_poset():
     assert report.probes_checked == 1
 
 
-def test_exhaustive_derivation_report_matches_full_scan():
+def _scanned(monkeypatch, check, *args):
+    """check(*args) with every map taken for a non-derivation, so it scans."""
+    with monkeypatch.context() as m:
+        m.setattr(locder, "is_derivation", lambda d: False)
+        return check(*args)
+
+
+def test_exhaustive_derivation_report_matches_full_scan(monkeypatch):
     # A derivation is accepted without probing; the report must be the
-    # one a full scan of every probe would give.
+    # one the verb's own scan of every probe gives.
     rng = random.Random(29)
     cases = [(poset, GF(2)) for poset in SMALL_POSETS]
     cases += [(CHAIN2, GF(3)), (CHAIN3, GF(2))]
@@ -267,14 +270,12 @@ def test_exhaustive_derivation_report_matches_full_scan():
         total = ring.p ** poset.npairs
         for _ in range(3):
             d = random_derivation(poset, ring, rng, basis)
-            der_rows = _derivation_rref(poset, ring).values()
-            vectors = _digit_vectors(ring.p, poset.npairs)
-            scan = _first_witnessless(poset, ring, _endo_row(d), der_rows, vectors)
-            assert scan is None
             expected = LocalCheckReport(
                 "exhaustive", "local_derivation", total, ring.designator()
             )
             assert check_local_exhaustive(d).to_json() == expected.to_json()
+            scan = _scanned(monkeypatch, check_local_exhaustive, d)
+            assert scan.to_json() == expected.to_json()
 
 
 def test_exhaustive_scan_of_the_residue_matches_a_solver_free_scan():
@@ -366,9 +367,9 @@ def test_spanning_probe_cap_refuses_a_longer_family(monkeypatch):
     assert report.probes_checked == family
 
 
-def test_spanning_derivation_report_matches_full_scan():
+def test_spanning_derivation_report_matches_full_scan(monkeypatch):
     # A derivation is accepted without probing; the report must be the
-    # one a full scan of the spanning family would give.
+    # one the verb's own scan of the spanning family gives.
     rng = random.Random(31)
     for poset in (*SMALL_POSETS, DIAMOND, CROWN):
         for ring in (QQ, GF(5)):
@@ -377,10 +378,6 @@ def test_spanning_derivation_report_matches_full_scan():
                 d = random_derivation(poset, ring, rng, basis)
                 seed = rng.randrange(1 << 16)
                 family = list(_spanning_probes(poset, ring, seed))
-                vectors = (_dense_vector(poset, a) for a in family)
-                der_rows = _derivation_rref(poset, ring).values()
-                row = _endo_row(d)
-                assert _first_witnessless(poset, ring, row, der_rows, vectors) is None
                 expected = LocalCheckReport(
                     "spanning",
                     "inconclusive",
@@ -390,6 +387,8 @@ def test_spanning_derivation_report_matches_full_scan():
                 )
                 got = check_local_spanning(d, seed=seed)
                 assert got.to_json() == expected.to_json()
+                scan = _scanned(monkeypatch, check_local_spanning, d, seed)
+                assert scan.to_json() == expected.to_json()
 
 
 def _non_derivations(poset, ring, rng):
@@ -620,8 +619,22 @@ def _no_der(poset, ring):
     raise AssertionError("Der was computed")
 
 
-def _span_dimension(maps, vec, ring):
-    """dim span{m(a)} over the given maps, a as a dense vector, by dense_rref."""
+def test_theorem_harnesses_read_w_a_from_the_t_p_spans(monkeypatch):
+    # Both T(P) harnesses take W_a = [FI, a] from _t_p_spans; neither
+    # forms images through verify's _images.
+    def no_images(*args):
+        raise AssertionError("_images was called")
+
+    monkeypatch.setattr(locder, "_images", no_images)
+    for ring in (GF(2), GF(3), QQ):
+        for poset in (CHAIN3, DIAMOND, CROWN):
+            assert local_dimension(poset, ring) == _oracle_dimension(poset, ring)
+            report = theorem_verify_random(poset, ring, trials=3, seed=2)
+            assert (report.verdict, report.s_loc) == ("confirmed", 3)
+
+
+def _span_rref(maps, vec, ring):
+    """dense_rref of the images m(a) of the given maps, a as a dense vector."""
     images = []
     for m in maps:
         image = [ring.zero] * len(vec)
@@ -629,29 +642,34 @@ def _span_dimension(maps, vec, ring):
             if v:
                 image = [ring.add(x, ring.mul(v, w)) for x, w in zip(image, col)]
         images.append(image)
-    return len(dense_rref(images, ring))
+    return dense_rref(images, ring)
 
 
 def test_w_a_is_the_commutator_span_on_every_t_p_probe():
     # [FI, a] lies in W_a, so equal dimensions make them equal: a's
     # off-diagonal pairs lie in one chain, on which a cocycle agrees with
     # a coboundary, whose diagonal map is inner.  Both spans come from
-    # the solver-free oracles.
+    # the solver-free oracles, and the span _t_p_spans reads off a's own
+    # columns must be the commutator span, row for row in dense_rref.
     for ring in (GF(2), GF(3), QQ):
         for poset in small_posets(4):
+            n = poset.npairs
             der = _oracle_basis(poset, ring)
             commutators = commutator_span_basis(poset, ring)
-            for probe in locder._probe_family(poset):
-                a = [ring.one if t in probe else ring.zero for t in range(poset.npairs)]
-                assert _span_dimension(der, a, ring) == _span_dimension(
-                    commutators, a, ring
-                )
+            spans = list(locder._t_p_spans(poset, ring))
+            assert [probe for probe, _ in spans] == list(locder._probe_family(poset))
+            for probe, w_a in spans:
+                a = [ring.one if t in probe else ring.zero for t in range(n)]
+                expected = _span_rref(commutators, a, ring)
+                assert len(_span_rref(der, a, ring)) == len(expected)
+                rows = [[row.get(r, ring.zero) for r in range(n)] for row in w_a.values()]
+                assert dense_rref(rows, ring) == expected
     # Off T(P) they can differ, which is why verify's modes read Der: on
     # the crown, W_zeta has dimension 4 and [FI, zeta] 3.
     for ring in (QQ, GF(2)):
         zeta = [ring.one] * CROWN.npairs
-        assert _span_dimension(_oracle_basis(CROWN, ring), zeta, ring) == 4
-        assert _span_dimension(commutator_span_basis(CROWN, ring), zeta, ring) == 3
+        assert len(_span_rref(_oracle_basis(CROWN, ring), zeta, ring)) == 4
+        assert len(_span_rref(commutator_span_basis(CROWN, ring), zeta, ring)) == 3
 
 
 def _probe_kind(poset, probe):
@@ -801,11 +819,10 @@ def test_random_campaign_rejects_patchworks_that_pass_every_unit(monkeypatch):
             ranks = [len(dense_rref([b.cols[c] for b in basis], ring)) for c in range(n)]
             if sum(ranks) == len(basis):
                 continue
-            units = [locder._probe_vector(ring, n, (t,)) for t in range(n)]
+            # The spanning family opens with the units, so a patchwork
+            # scanned past them passed every one.
             d = _patchwork(poset, ring, random.Random(0))
-            der_rows = _derivation_rref(poset, ring).values()
-            row = _endo_row(d)
-            assert _first_witnessless(poset, ring, row, der_rows, units) is None
+            assert check_local_spanning(d).probes_checked > n
             report = theorem_verify_random(poset, ring, trials=3, seed=4)
             assert report.verdict == "confirmed"
             assert report.s_loc == 3
