@@ -15,12 +15,15 @@ cocycle basis, reduced to sparse rows once per caller, which passes them
 on; its basis, dimension and h1 = dim Der - dim Inner come from them.
 They are the one form of Der that library paths read: a dense map is
 built from rows only by _endo_from_rows, for callers that get a map.
+Each report, here and in locder, is a record: a SimpleNamespace whose
+fields are set by keyword, and whose set fields one to_json writes.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
+from types import SimpleNamespace
 
 from . import _linalg
 from .fialg import AlgebraError, FiElement, _check_compatible, convolve, unit
@@ -312,17 +315,8 @@ def is_derivation(d: LinearEndo) -> bool:
     return next(off_diagonal, None) is None and is_cocycle(sigma)
 
 
-class _Report:
-    """Fields set by __init__ in declaration order; equal when all agree."""
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"{type(self).__name__}({fields})"
+class _Report(SimpleNamespace):
+    """A record of fields set by keyword, each an attribute of the report."""
 
     def to_json(self) -> dict:
         """The fields that are set, in order; an element as its JSON."""
@@ -335,11 +329,6 @@ class _Report:
 
 class Decomposition(_Report):
     """d = (commutator with alpha) + (diagonal map of sigma), up to residual."""
-
-    def __init__(self, alpha: FiElement, sigma: FiElement, residual_norm: int):
-        self.alpha = alpha
-        self.sigma = sigma
-        self.residual_norm = residual_norm
 
     def to_json(self) -> dict:
         return {
@@ -356,7 +345,8 @@ def decompose(d: LinearEndo) -> Decomposition:
     vanishes iff d has exactly this shape.
     """
     alpha, sigma, off_diagonal = _split(d)
-    return Decomposition(alpha, sigma, sum(1 for _ in off_diagonal))
+    residual_norm = sum(1 for _ in off_diagonal)
+    return Decomposition(alpha=alpha, sigma=sigma, residual_norm=residual_norm)
 
 
 # -- the derivation space ------------------------------------------------

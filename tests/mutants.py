@@ -100,6 +100,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "a report writes its unset fields",
+        "deriv.py",
+        "            if value is not None\n",
+        "",
+        ("tests/test_golden.py::test_reports_match_the_golden_bytes[locder verify]",),
+    ),
+    Mutant(
         "CoeffRing.__reduce__ removed",
         "scalars.py",
         "    def __reduce__(self):\n",

@@ -427,6 +427,15 @@ def test_locder_verify_malformed_json(capsys, chain2_file, tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
     assert run(["locder", "verify", chain2_file, str(path)]) == 2
+    capsys.readouterr()
+    # A column one entry short is refused before any probe, with one line.
+    obj = deriv.LinearEndo.zero(CHAIN2, parse_ring("zp:2")).to_json()
+    obj["columns"][1].pop()
+    short = write_json(tmp_path, "short.json", obj)
+    assert run(["locder", "verify", chain2_file, short]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: each column needs 3 entries\n"
 
 
 def test_non_utf8_poset_is_exit_2(capsys, tmp_path):

@@ -654,7 +654,11 @@ def test_endo_json_rejects_wrong_poset():
 def test_endo_json_rejects_bad_shape():
     obj = LinearEndo.zero(CHAIN2, QQ).to_json()
     obj["columns"] = obj["columns"][:-1]
-    with pytest.raises(AlgebraError):
+    with pytest.raises(AlgebraError, match="needs 3 columns"):
+        endo_from_json(CHAIN2, obj)
+    obj = LinearEndo.zero(CHAIN2, QQ).to_json()
+    obj["columns"][1] = obj["columns"][1][:-1]
+    with pytest.raises(AlgebraError, match="each column needs 3 entries"):
         endo_from_json(CHAIN2, obj)
     with pytest.raises(AlgebraError):
         endo_from_json(CHAIN2, {"ring": "q"})

@@ -271,7 +271,10 @@ def test_exhaustive_derivation_report_matches_full_scan(monkeypatch):
         for _ in range(3):
             d = random_derivation(poset, ring, rng, basis)
             expected = LocalCheckReport(
-                "exhaustive", "local_derivation", total, ring.designator()
+                mode="exhaustive",
+                verdict="local_derivation",
+                probes_checked=total,
+                ring=ring.designator(),
             )
             assert check_local_exhaustive(d).to_json() == expected.to_json()
             scan = _scanned(monkeypatch, check_local_exhaustive, d)
@@ -379,10 +382,10 @@ def test_spanning_derivation_report_matches_full_scan(monkeypatch):
                 seed = rng.randrange(1 << 16)
                 family = list(_spanning_probes(poset, ring, seed))
                 expected = LocalCheckReport(
-                    "spanning",
-                    "inconclusive",
-                    len(family),
-                    ring.designator(),
+                    mode="spanning",
+                    verdict="inconclusive",
+                    probes_checked=len(family),
+                    ring=ring.designator(),
                     seed=seed,
                 )
                 got = check_local_spanning(d, seed=seed)

@@ -44,6 +44,8 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(PosetParseError) as err:
         parse_poset("elements: a b\n\na < c\n")
     assert err.value.line == 3
+    with pytest.raises(PosetParseError, match="^line 2: undeclared label 'z'$"):
+        parse_poset("elements: a b\nz < a\n")
     with pytest.raises(PosetParseError) as err:
         parse_poset("elements: a a\n")
     assert err.value.line == 1
@@ -202,8 +204,18 @@ def test_size_cap():
 
 
 def test_undeclared_cover_label():
-    with pytest.raises(PosetError):
+    with pytest.raises(PosetError, match="undeclared label 'b'"):
         Poset(("a",), (("a", "b"),))
+    with pytest.raises(PosetError, match="undeclared label 'z'"):
+        Poset(("a",), (("z", "a"),))
+
+
+def test_constructor_rejects_bad_and_duplicate_labels():
+    # The same label checks as the reader's, for callers that build a Poset.
+    with pytest.raises(PosetError, match="bad label 'b!'"):
+        Poset(("a", "b!"), ())
+    with pytest.raises(PosetError, match="duplicate element label 'a'"):
+        Poset(("a", "b", "a"), ())
 
 
 def test_random_poset_determinism_and_extremes():
