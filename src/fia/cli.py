@@ -5,29 +5,11 @@ theorem enumerate | random.  JSON output is byte-deterministic (sorted
 keys, canonical entry order); exit code 0 means success or a confirmed
 verdict, 1 a rejected or refuted verdict, 2 a usage, parse or IO error.
 
-One table, _VERBS, declares each verb's handler and the arguments it takes
-after the poset; parse_args reads argv against it and _help prints it.
-run reads the poset, which every verb takes first, and hands it to the
-handler.
-
-Each handler returns its JSON output as an iterable of text chunks, its
-text lines and its exit code, and _emit writes the chosen format chunk by
-chunk.  Most reports are one canonical dump; der basis streams its maps
-straight from Der's sparse reduced rows, so it builds no map, no nested
-payload and no whole-output string.  Every check and cap runs before the
-first byte is written, so a refusal leaves the output empty.  A reader
-that closes stdout early, a full disk or any other stdout write error
-gets one error line and exit 2, since the report was cut short.
-
-Start-up is most of a short run, and with PYTHONDONTWRITEBYTECODE set
-every process compiles each fia module it imports, so a process loads
-only what its verb runs: the poset and der verbs never import locder,
-the reports are plain classes (dataclasses would pull in inspect and
-ast), and no verb imports hashlib, which loads OpenSSL: a map's poset
-hash comes from CPython's own SHA-256 module.  argv is parsed here, not
-by argparse, which would load gettext and locale, and only q jobs load
-fractions (see scalars), so a zp job loads little beyond the
-interpreter's own start-up.  See README "Start-up".
+Every check and cap runs before the first byte is written, so a refusal
+leaves the output empty.  A reader that closes stdout early, a full disk
+or any other stdout write error gets one error line and exit 2, since
+the report was cut short.  A process loads only what its verb runs: see
+README "Start-up" for why argv is parsed here and not by argparse.
 """
 
 from __future__ import annotations
@@ -73,11 +55,6 @@ def _read_endo(poset, path):
     return deriv.endo_from_json(poset, obj)
 
 
-def _json(payload):
-    """A report's JSON output: one chunk, dumped only when it is written."""
-    yield deriv._canonical_json(payload) + "\n"
-
-
 def _emit(chunks, out_path):
     """Write an iterable of text chunks to stdout or to out_path.
 
@@ -108,7 +85,8 @@ def _lines(payload, *keys) -> list[str]:
     return [f"{key}: {payload[key]}" for key in keys]
 
 
-# -- command handlers: (poset, args) -> (JSON chunks, text lines, exit code) --
+# -- command handlers: (poset, args) -> (payload, text lines, exit code); the
+# payload is a dict, dumped once, except der basis's streamed JSON chunks --
 
 
 def _cmd_poset_check(poset, args):
@@ -118,17 +96,16 @@ def _cmd_poset_check(poset, args):
         "covers": len(poset.covers),
         "pairs": poset.npairs,
     }
-    lines = _lines(payload, "elements", "covers", "pairs") + ["ok"]
-    return _json(payload), lines, 0
+    return payload, _lines(payload, "elements", "covers", "pairs") + ["ok"], 0
 
 
 def _cmd_der_basis(poset, args):
     ring = parse_ring(args.ring)
     rows = deriv._derivation_rref(poset, ring)
     payload = {"mode": "der-basis", "ring": ring.designator(), "dimension": len(rows)}
-    # Text prints the dimension only, so only JSON writes the basis; it is
-    # refused before its first byte.
-    if args.format_ == "json":
+    # Text prints the dimension only, so only JSON writes the basis, straight
+    # from Der's sparse reduced rows; it is refused before its first byte.
+    if args.format == "json":
         scalars = payload["dimension"] * poset.npairs**2
         if scalars > BASIS_SCALAR_CAP:
             raise AlgebraError(
@@ -158,32 +135,30 @@ def _cmd_der_h1(poset, args):
         "dim_inner": dim_inner,
         "h1": dim_der - dim_inner,
     }
-    lines = _lines(payload, "ring", "dim_derivations", "dim_inner", "h1")
-    return _json(payload), lines, 0
+    return payload, _lines(payload, "ring", "dim_derivations", "dim_inner", "h1"), 0
 
 
 def _cmd_der_decompose(poset, args):
-    d = _read_endo(poset, args.map)
-    dec = deriv.decompose(d)
-    payload = dec.to_json()
+    dec = deriv.decompose(_read_endo(poset, args.map))
     lines = [
         f"alpha entries: {len(dec.alpha.entries)}",
         f"sigma entries: {len(dec.sigma.entries)}",
         f"residual: {dec.residual_norm}",
     ]
-    return _json(payload), lines, 0
+    return dec.to_json(), lines, 0
 
 
 # The locder and theorem handlers import locder themselves, so that the
 # poset and der verbs never compile it.
 
 
-def _verdict_exit(verdict: str) -> int:
+def _verdict(report, *keys):
+    """A verdict report's payload, its "key: value" lines and its exit code."""
     from . import locder
 
-    if verdict in (locder.VERDICT_REJECTED, locder.VERDICT_REFUTED):
-        return 1
-    return 0
+    payload = report.to_json()
+    refuted = report.verdict in (locder.VERDICT_REJECTED, locder.VERDICT_REFUTED)
+    return payload, _lines(payload, *keys), int(refuted)
 
 
 def _cmd_locder_verify(poset, args):
@@ -194,26 +169,23 @@ def _cmd_locder_verify(poset, args):
         report = locder.check_local_exhaustive(d)
     else:
         report = locder.check_local_spanning(d, seed=args.seed)
-    payload = report.to_json()
-    lines = _lines(payload, "mode", "ring", "verdict", "probes_checked")
+    payload, lines, code = _verdict(report, "mode", "ring", "verdict", "probes_checked")
     if "failing_probe" in payload:
         lines.append(
             "failing_probe: " + json.dumps(payload["failing_probe"], sort_keys=True)
         )
-    return _json(payload), lines, _verdict_exit(report.verdict)
+    return payload, lines, code
 
 
 def _cmd_locder_lemmas(poset, args):
     from . import locder
 
-    d = _read_endo(poset, args.map)
-    report = locder.lemma_conformance(d, seed=args.seed)
-    payload = report.to_json()
+    report = locder.lemma_conformance(_read_endo(poset, args.map), seed=args.seed)
     lines = [f"ring: {report.ring}"]
-    for name, passed in sorted(payload["checks"].items()):
+    for name, passed in sorted(report.checks.items()):
         lines.append(f"{name}: {'pass' if passed else 'FAIL'}")
     lines.append(f"all: {'pass' if report.all_pass else 'FAIL'}")
-    return _json(payload), lines, 0 if report.all_pass else 1
+    return report.to_json(), lines, 0 if report.all_pass else 1
 
 
 def _cmd_theorem_enumerate(poset, args):
@@ -223,10 +195,9 @@ def _cmd_theorem_enumerate(poset, args):
     if ring.kind != "zp":
         raise RingError("theorem enumerate needs a zp ring")
     report = locder.theorem_verify_enumerate(poset, ring.p)
-    payload = report.to_json()
-    lines = _lines(payload, "ring", "verdict", "s_der", "s_loc")
+    payload, lines, code = _verdict(report, "ring", "verdict", "s_der", "s_loc")
     lines.append(f"endos: {payload['probes_checked']}")
-    return _json(payload), lines, _verdict_exit(report.verdict)
+    return payload, lines, code
 
 
 def _cmd_theorem_random(poset, args):
@@ -234,9 +205,7 @@ def _cmd_theorem_random(poset, args):
 
     ring = parse_ring(args.ring)
     report = locder.theorem_verify_random(poset, ring, args.trials, args.seed)
-    payload = report.to_json()
-    lines = _lines(payload, "ring", "verdict", "trials", "seed", "probes_checked")
-    return _json(payload), lines, _verdict_exit(report.verdict)
+    return _verdict(report, "ring", "verdict", "trials", "seed", "probes_checked")
 
 
 def _integer(text: str) -> int:
@@ -253,30 +222,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# -- each verb's handler and its arguments after the poset, in help order;
-# a name without dashes is an operand.  Every verb also takes _OUTPUT.
+# -- each verb's handler, its operands after the poset and its options, in
+# help order.  An option is (name, default, kind), kind a tuple of choices
+# or a converter.  Every verb also takes _OUTPUT.
 
-_MAP = ("map", {})
-_MODE = ("--mode", {"choices": ("exhaustive", "spanning"), "default": "exhaustive"})
-_TRIALS = ("--trials", {"type": _positive_int, "default": 50})
-_SEED = ("--seed", {"type": _integer, "default": 0})
-_FORMAT = {"choices": ("json", "text"), "default": "text", "dest": "format_"}
-_OUTPUT = (("--format", _FORMAT), ("--out", {"default": None}))
+_MODE = ("--mode", "exhaustive", ("exhaustive", "spanning"))
+_TRIALS = ("--trials", 50, _positive_int)
+_SEED = ("--seed", 0, _integer)
+_OUTPUT = (("--format", "text", ("json", "text")), ("--out", None, str))
 
 
 def _ring(default):
-    return "--ring", {"default": default}
+    return "--ring", default, str
 
 
 _VERBS = {
-    ("poset", "check"): (_cmd_poset_check,),
-    ("der", "basis"): (_cmd_der_basis, _ring("q")),
-    ("der", "h1"): (_cmd_der_h1, _ring("q")),
-    ("der", "decompose"): (_cmd_der_decompose, _MAP),
-    ("locder", "verify"): (_cmd_locder_verify, _MAP, _MODE, _SEED),
-    ("locder", "lemmas"): (_cmd_locder_lemmas, _MAP, _SEED),
-    ("theorem", "enumerate"): (_cmd_theorem_enumerate, _ring("zp:2")),
-    ("theorem", "random"): (_cmd_theorem_random, _ring("q"), _TRIALS, _SEED),
+    ("poset", "check"): (_cmd_poset_check, ()),
+    ("der", "basis"): (_cmd_der_basis, (), _ring("q")),
+    ("der", "h1"): (_cmd_der_h1, (), _ring("q")),
+    ("der", "decompose"): (_cmd_der_decompose, ("map",)),
+    ("locder", "verify"): (_cmd_locder_verify, ("map",), _MODE, _SEED),
+    ("locder", "lemmas"): (_cmd_locder_lemmas, ("map",), _SEED),
+    ("theorem", "enumerate"): (_cmd_theorem_enumerate, (), _ring("zp:2")),
+    ("theorem", "random"): (_cmd_theorem_random, (), _ring("q"), _TRIALS, _SEED),
 }
 
 
@@ -287,11 +255,6 @@ class UsageError(Exception):
 def _is_option(token: str) -> bool:
     # A lone dash and a negative number are operands or option values.
     return token[:1] == "-" and token != "-" and not token[1:].isdecimal()
-
-
-def _arguments(verb):
-    """Every argument a verb takes, the poset first."""
-    return [("poset", {}), *_VERBS[verb][1:], *_OUTPUT]
 
 
 def _next_words(words) -> list[str]:
@@ -305,13 +268,13 @@ def _usage(words) -> str:
     if words not in _VERBS:
         choices = "{" + ",".join(_next_words(words)) + "}"
         return " ".join(["usage: fia", *words, "[-h]", choices, "..."])
+    _, operands, *options = _VERBS[words]
     parts = [
-        f"[{name} {{{','.join(spec['choices'])}}}]" if "choices" in spec
-        else f"[{name} {name[2:].upper()}]" if _is_option(name)
-        else name
-        for name, spec in _arguments(words)
+        f"[{name} {{{','.join(kind)}}}]" if isinstance(kind, tuple)
+        else f"[{name} {name[2:].upper()}]"
+        for name, _, kind in (*options, *_OUTPUT)
     ]
-    return " ".join(["usage: fia", *words, "[-h]", *parts])
+    return " ".join(["usage: fia", *words, "[-h]", "poset", *operands, *parts])
 
 
 def _choose(words, what, text, choices):
@@ -323,7 +286,7 @@ def _choose(words, what, text, choices):
 
 def parse_args(argv):
     """The namespace a handler reads: group, command, handler, poset, the
-    verb's other operands and options, format_ and out.
+    verb's other operands and options, format and out.
 
     Options match by their whole name, take their value as the next
     argument or after "=", may stand before, between or after the
@@ -336,11 +299,10 @@ def parse_args(argv):
             raise UsageError(words, f"the following arguments are required: {what}")
         _choose(words, what, rest[0], _next_words(words))
         words += (rest.pop(0),)
-    specs = _arguments(words)
-    operands = [name for name, _ in specs if not _is_option(name)]
-    options = {name: spec for name, spec in specs if _is_option(name)}
-    dests = {name: spec.get("dest", name[2:]) for name, spec in options.items()}
-    args = {dests[name]: spec["default"] for name, spec in options.items()}
+    handler, operands, *options = _VERBS[words]
+    operands, options = ("poset", *operands), (*options, *_OUTPUT)
+    kinds = {name: kind for name, _, kind in options}
+    args = {name[2:]: default for name, default, _ in options}
     given, unknown = [], []
     tokens = iter(rest)
     for token in tokens:
@@ -348,18 +310,19 @@ def parse_args(argv):
             (given if len(given) < len(operands) else unknown).append(token)
             continue
         name, eq, text = token.partition("=")
-        spec = options.get(name)
-        if spec is None:
+        kind = kinds.get(name)
+        if kind is None:
             unknown.append(token)
             continue
         if not eq:
             text = next(tokens, None)
             if text is None or _is_option(text):
                 raise UsageError(words, f"argument {name}: expected one argument")
-        if "choices" in spec:
-            _choose(words, name, text, spec["choices"])
+        if isinstance(kind, tuple):
+            _choose(words, name, text, kind)
+            kind = str
         try:
-            args[dests[name]] = spec.get("type", str)(text)
+            args[name[2:]] = kind(text)
         except ValueError as exc:
             raise UsageError(words, f"argument {name}: {exc}") from None
     if len(given) < len(operands):
@@ -368,7 +331,6 @@ def parse_args(argv):
     if unknown:
         raise UsageError(words, f"unrecognized arguments: {' '.join(unknown)}")
     args.update(zip(operands, given))
-    handler = _VERBS[words][0]
     return SimpleNamespace(group=words[0], command=words[1], handler=handler, **args)
 
 
@@ -389,16 +351,13 @@ def run(argv) -> int:
         print(_usage(words), f"fia: error: {message}", sep="\n", file=sys.stderr)
         return 2
     try:
-        json_chunks, lines, code = args.handler(_read_poset(args.poset), args)
-        text = (line + "\n" for line in lines)
-        _emit(json_chunks if args.format_ == "json" else text, args.out)
-    except (
-        PosetError,
-        RingError,
-        AlgebraError,
-        CapExceededError,
-        OSError,
-    ) as exc:
+        payload, lines, code = args.handler(_read_poset(args.poset), args)
+        if args.format == "text":
+            payload = (line + "\n" for line in lines)
+        elif isinstance(payload, dict):
+            payload = [deriv._canonical_json(payload) + "\n"]
+        _emit(payload, args.out)
+    except (PosetError, RingError, AlgebraError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

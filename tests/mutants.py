@@ -167,6 +167,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the choice check is skipped",
+        "cli.py",
+        "_choose(words, name, text, kind)",
+        "pass",
+        (
+            "tests/test_cli.py::test_usage_error_is_one_usage_and_one_error_line[bad choice]",
+            "tests/test_cli.py::test_usage_error_is_one_usage_and_one_error_line[bad format]",
+        ),
+    ),
+    Mutant(
+        "a rejected verdict exits 0",
+        "cli.py",
+        "report.verdict in (locder.VERDICT_REJECTED, locder.VERDICT_REFUTED)",
+        "report.verdict == locder.VERDICT_REFUTED",
+        ("tests/test_cli.py::test_locder_verify_bad_map_spanning_exit_1",),
+    ),
+    Mutant(
         "QQ is rebuilt on every access",
         "scalars.py",
         'ring = globals().setdefault("QQ", CoeffRing("q"))',

@@ -626,7 +626,7 @@ def test_usage_errors_exit_2():
 
 
 # Each verb's operands after the poset and the defaults it parses to.
-OUTPUT_DEFAULTS = {"format_": "text", "out": None}
+OUTPUT_DEFAULTS = {"format": "text", "out": None}
 VERB_DEFAULTS = {
     "poset check": ((), {}),
     "der basis": ((), {"ring": "q"}),
@@ -790,6 +790,42 @@ def test_help_lists_every_verb(capsys, before, flag):
     assert f"  {VERIFY_USAGE[len('usage: '):]}" in lines
 
 
+# fia --help byte for byte: the group line and every verb's usage line.
+HELP = """\
+usage: fia [-h] {poset,der,locder,theorem} ...
+
+verbs:
+  fia poset check [-h] poset [--format {json,text}] [--out OUT]
+  fia der basis [-h] poset [--ring RING] [--format {json,text}] [--out OUT]
+  fia der h1 [-h] poset [--ring RING] [--format {json,text}] [--out OUT]
+  fia der decompose [-h] poset map [--format {json,text}] [--out OUT]
+  fia locder verify [-h] poset map [--mode {exhaustive,spanning}] [--seed SEED] \
+[--format {json,text}] [--out OUT]
+  fia locder lemmas [-h] poset map [--seed SEED] [--format {json,text}] [--out OUT]
+  fia theorem enumerate [-h] poset [--ring RING] [--format {json,text}] [--out OUT]
+  fia theorem random [-h] poset [--ring RING] [--trials TRIALS] [--seed SEED] \
+[--format {json,text}] [--out OUT]
+"""
+
+
+def test_help_text_is_pinned(capsys):
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out == HELP
+
+
+def test_readme_cookbook_replays(capsys, monkeypatch):
+    # Each `$ fia ...` line of README "CLI cookbook" and the text under it.
+    readme = (GOLDEN.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI cookbook\n", 1)[1].split("```\n")[1]
+    entries = [entry.partition("\n") for entry in block.split("$ fia ")[1:]]
+    assert entries
+    monkeypatch.chdir(GOLDEN)
+    for command, _, text in entries:
+        run(command.split())
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (text.rstrip("\n") + "\n", ""), command
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -805,7 +841,7 @@ def test_option_syntax(argv):
     args.pop("handler")
     assert args == {
         "group": "theorem", "command": "random", "poset": "p.poset",
-        "ring": "zp:3", "trials": 7, "seed": -2, "format_": "json", "out": None,
+        "ring": "zp:3", "trials": 7, "seed": -2, "format": "json", "out": None,
     }
 
 
