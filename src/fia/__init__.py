@@ -27,7 +27,6 @@ _HOMES = {
             "element_from_json",
             "moebius",
             "restrict",
-            "sandwich",
             "subset_idempotent",
             "unit",
             "zero",
@@ -44,7 +43,6 @@ _HOMES = {
             "derivation_basis",
             "derivation_dimension",
             "endo_from_json",
-            "h1_dimension",
             "idempotent_identity_check",
             "inner",
             "inner_basis",

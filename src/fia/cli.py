@@ -112,16 +112,7 @@ def _cmd_der_basis(poset, args):
                 f"the basis has {scalars} scalars, above the cap of {BASIS_SCALAR_CAP}"
             )
     lines = _lines(payload, "ring", "dimension")
-    return _basis_json(poset, ring, rows, payload), lines, 0
-
-
-def _basis_json(poset, ring, rows, payload):
-    """The canonical dump of payload plus its "basis" list, map by map."""
-    head, tail = deriv._split_json(payload, "basis")
-    yield head
-    for k, text in enumerate(deriv.derivation_basis_json(poset, ring, rows)):
-        yield "," + text if k else text
-    yield tail + "\n"
+    return deriv.derivation_basis_json(poset, ring, rows, payload), lines, 0
 
 
 def _cmd_der_h1(poset, args):

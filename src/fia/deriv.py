@@ -12,7 +12,7 @@ it.  The cocycle condition is one row set, _cocycle_rows, which
 is_cocycle evaluates and _cocycle_basis eliminates.  The derivation space
 is the exact span of the commutator maps [e_xy, .] and of D_sigma over a
 cocycle basis, reduced to sparse rows once per caller, which passes them
-on; its basis, dimension and h1 = dim Der - dim Inner come from them.
+on; its basis and dimension come from them.
 They are the one form of Der that library paths read: a dense map is
 built from rows only by _endo_from_rows, for callers that get a map.
 Each report, here and in locder, is a record: a SimpleNamespace whose
@@ -162,13 +162,10 @@ class LinearEndo:
 
     def to_json(self) -> dict:
         to_j = self.ring.scalar_to_json
-        zero_json = to_j(self.ring.zero)  # shared: basis maps are mostly zeros
         return {
             "ring": self.ring.designator(),
             "poset_hash": self.poset.digest(),
-            "columns": [
-                [to_j(v) if v else zero_json for v in col] for col in self.cols
-            ],
+            "columns": [[to_j(v) for v in col] for col in self.cols],
         }
 
 
@@ -424,20 +421,22 @@ def derivation_basis(poset: Poset, ring: CoeffRing) -> list[LinearEndo]:
     return _dense_basis(poset, ring, _derivation_rref(poset, ring))
 
 
-def derivation_basis_json(poset: Poset, ring: CoeffRing, rows: dict[int, dict]):
-    """Yield the canonical JSON text of each derivation_basis map, in order.
+def derivation_basis_json(poset: Poset, ring: CoeffRing, rows: dict, payload: dict):
+    """Yield, in chunks, the canonical JSON line of payload with "basis" added.
 
-    Each text is to_json() dumped with sorted keys and no whitespace, but
-    written straight from rows, _derivation_rref(poset, ring): no map is
-    built, zero scalars and all-zero columns are one shared string each.
+    The basis is the list of derivation_basis maps' to_json(), in order,
+    but written straight from rows, _derivation_rref(poset, ring): no map
+    is built, zero scalars and all-zero columns are one shared string each.
     """
     n = poset.npairs
     zero = _canonical_json(ring.scalar_to_json(ring.zero))
     zero_col = "[" + ",".join([zero] * n) + "]"
-    head, tail = _split_json(
+    head, tail = _split_json(payload, "basis")
+    map_head, map_tail = _split_json(
         {"poset_hash": poset.digest(), "ring": ring.designator()}, "columns"
     )
-    for row in rows.values():
+    yield head
+    for k, row in enumerate(rows.values()):
         cols = {}
         for var, v in row.items():
             c, r = divmod(var, n)
@@ -445,7 +444,8 @@ def derivation_basis_json(poset: Poset, ring: CoeffRing, rows: dict[int, dict]):
         texts = [zero_col] * n
         for c, col in cols.items():
             texts[c] = "[" + ",".join([col.get(r, zero) for r in range(n)]) + "]"
-        yield head + ",".join(texts) + tail
+        yield ("," if k else "") + map_head + ",".join(texts) + map_tail
+    yield tail + "\n"
 
 
 def inner_basis(poset: Poset, ring: CoeffRing) -> list[LinearEndo]:
@@ -461,11 +461,6 @@ def derivation_dimension(poset: Poset, ring: CoeffRing) -> int:
 def inner_dimension(poset: Poset, ring: CoeffRing) -> int:
     """dim Inner, the pivot count of the commutator rows; builds no basis."""
     return len(_linalg.rref(_commutator_rows(poset, ring), ring))
-
-
-def h1_dimension(poset: Poset, ring: CoeffRing) -> int:
-    """dim(derivations) - dim(inner derivations); zero when all are inner."""
-    return derivation_dimension(poset, ring) - inner_dimension(poset, ring)
 
 
 # -- idempotent identity --------------------------------------------------

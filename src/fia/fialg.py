@@ -3,14 +3,14 @@
 Elements are functions on comparable pairs, stored sparsely on their
 nonzero support and multiplied by convolution.  Matrix units e_xy (basis
 elements supported on one pair), subset idempotents, the zeta, delta and
-moebius elements, the two-sided sandwich e_x a e_y and the restriction of
-an element to an interval corner are provided as constructors.
+moebius elements and the restriction of an element to an interval corner
+are provided as constructors.
 """
 
 from __future__ import annotations
 
-from .poset import Poset, PosetError
-from .scalars import CoeffRing, RingMismatchError, is_fraction, parse_ring
+from .poset import Poset
+from .scalars import CoeffRing, is_fraction, parse_ring
 
 
 class AlgebraError(ValueError):
@@ -224,18 +224,6 @@ def convolve(a: FiElement, b: FiElement) -> FiElement:
             else:
                 out[key] = nv
     return FiElement(a.poset, ring, out)
-
-
-def sandwich(x: str, a: FiElement, y: str) -> FiElement:
-    """e_x a e_y: the (x, y) coefficient of a parked on the unit e_xy."""
-    poset = a.poset
-    i, j = poset.index(x), poset.index(y)
-    if not poset.leq_idx(i, j):
-        return FiElement(poset, a.ring, {})
-    v = a.entries.get((i, j))
-    if v is None:
-        return FiElement(poset, a.ring, {})
-    return FiElement(poset, a.ring, {(i, j): v})
 
 
 def restrict(a: FiElement, x: str, y: str) -> FiElement:

@@ -126,22 +126,12 @@ class Poset:
         except KeyError:
             raise PosetError(f"unknown label {label!r}") from None
 
-    def leq(self, x: str, y: str) -> bool:
-        return self._up[self.index(x)] >> self.index(y) & 1 == 1
-
     def leq_idx(self, i: int, j: int) -> bool:
         return self._up[i] >> j & 1 == 1
 
     def interval_idx(self, i: int, j: int) -> list[int]:
         mask = self._up[i] & self._down[j]
         return list(_bits(mask))
-
-    def interval(self, x: str, y: str) -> list[str]:
-        """Elements z with x <= z <= y, in declaration order."""
-        i, j = self.index(x), self.index(y)
-        if not self.leq_idx(i, j):
-            raise PosetError(f"{x!r} and {y!r} are not comparable in order")
-        return [self.elements[z] for z in self.interval_idx(i, j)]
 
     def pairs(self) -> list[tuple[str, str]]:
         """All comparable pairs (x, y) with x <= y, in canonical order."""

@@ -107,6 +107,16 @@ MUTANTS = (
         ("tests/test_golden.py::test_reports_match_the_golden_bytes[locder verify]",),
     ),
     Mutant(
+        "der basis drops the comma between maps",
+        "deriv.py",
+        '("," if k else "")',
+        '""',
+        (
+            "tests/test_cli.py::test_der_basis_json_streams_the_dense_payload[q]",
+            "tests/test_golden.py::test_reports_match_the_golden_bytes[der basis]",
+        ),
+    ),
+    Mutant(
         "CoeffRing.__reduce__ removed",
         "scalars.py",
         "    def __reduce__(self):\n",
@@ -327,13 +337,24 @@ MUTANTS = (
 )
 
 
-def _outcomes(report: Path) -> dict[str, bool]:
-    """{test id: passed} from a JUnit XML report of a run at the copy's root."""
-    passed = {}
+def _read_report(report: Path, tests) -> dict[str, bool] | str:
+    """{test id: passed} from a JUnit XML report of a run at the copy's root,
+    or, if one of tests did not run, which ones and every error, such as a
+    module that failed to collect, that belongs to no test among them."""
+    passed, errors = {}, []
     for case in ET.parse(report).iter("testcase"):
         path = case.get("classname", "").replace(".", "/") + ".py"
-        failed = any(child.tag in ("failure", "error") for child in case)
-        passed[f"{path}::{case.get('name')}"] = not failed
+        test = f"{path}::{case.get('name')}"
+        failed = [child for child in case if child.tag in ("failure", "error")]
+        passed[test] = not failed
+        for child in failed:
+            if child.tag == "error" and test not in tests:
+                last = (child.text or "").strip().splitlines()[-1:]
+                why = [line.removeprefix("E").strip() for line in last]
+                errors.append(": ".join([case.get("name"), child.get("message"), *why]))
+    missing = [t for t in tests if t not in passed]
+    if missing:
+        return "; ".join([f"tests not run: {missing}", *errors])
     return passed
 
 
@@ -364,9 +385,7 @@ def _run(tests, mutant: Mutant | None = None) -> dict[str, bool] | str:
         )
         if not report.exists():
             return "pytest wrote no report"
-        outcomes = _outcomes(report)
-        missing = [t for t in tests if t not in outcomes]
-        return f"tests not run: {missing}" if missing else outcomes
+        return _read_report(report, tests)
 
 
 def main() -> int:

@@ -951,12 +951,16 @@ def test_closed_stdout_exits_2_with_one_error_line(tmp_path, verb, full, unbuffe
     assert proc.stderr == f"error: {expected}\n"
 
 
-def test_installed_entry_point(chain2_file):
+def test_module_entry_point():
+    # CI checks that the installed fia script writes these same bytes.
+    argv = ["poset", "check", "chain2.poset", "--format", "json"]
     proc = subprocess.run(
-        [sys.executable, "-m", "fia.cli", "poset", "check", chain2_file],
+        [sys.executable, "-m", "fia.cli", *argv],
         capture_output=True,
         text=True,
+        cwd=GOLDEN,
         env=child_env(),
     )
-    assert proc.returncode == 0
-    assert "ok" in proc.stdout
+    golden = json.loads((GOLDEN / "expected.json").read_text(encoding="utf-8"))
+    [entry] = [case for case in golden if case["argv"] == argv]
+    assert (proc.returncode, proc.stdout) == (entry["exit"], entry["stdout"])

@@ -12,7 +12,6 @@ from fia.fialg import (
     element_from_json,
     moebius,
     restrict,
-    sandwich,
     subset_idempotent,
     unit,
     zero,
@@ -196,21 +195,6 @@ def test_moebius_diamond_value():
     m = moebius(DIAMOND, QQ)
     assert m.coeff("bot", "top") == 1
     assert m.coeff("bot", "a") == -1
-
-
-def test_sandwich_picks_single_coefficient():
-    rng = random.Random(43)
-    for poset in (CHAIN3, DIAMOND):
-        a = random_element(poset, QQ, rng)
-        for x, y in poset.pairs():
-            got = sandwich(x, a, y)
-            ex = subset_idempotent(poset, QQ, [x])
-            ey = subset_idempotent(poset, QQ, [y])
-            assert got == ex * a * ey
-            assert got == a.coeff(x, y) * unit(poset, QQ, x, y)
-        # Incomparable corners give zero, not an error.
-        if poset is DIAMOND:
-            assert sandwich("a", a, "b").is_zero()
 
 
 def test_restrict_keeps_row_and_column_of_corner():

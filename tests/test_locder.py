@@ -13,6 +13,7 @@ from fia.deriv import (
     LinearEndo,
     _derivation_rref,
     derivation_basis,
+    derivation_dimension,
     inner,
     inner_basis,
     is_derivation,
@@ -604,18 +605,34 @@ def _oracle_dimension(poset, ring):
     return len(_oracle_basis(poset, ring))
 
 
+CENSUS_RINGS = (GF(2), GF(3), GF(5), QQ)
+
+
 def test_local_dimension_matches_leibniz_oracle(monkeypatch):
     # T(P) saturates over every field, q included: its nullity is the
-    # dimension of the solver-free Leibniz kernel on every poset of at
-    # most four elements.  It reads no Der, as W_a = [FI, a] on T(P).  On
-    # the 12-chain it has 78 units, 3 * 66 two-unit probes and 55 chain
-    # idempotents.
+    # dimension of the solver-free Leibniz kernel on each of the 407
+    # posets of at most five elements.  It reads no Der, as W_a = [FI, a]
+    # on T(P).  On the 12-chain it has 78 units, 3 * 66 two-unit probes
+    # and 55 chain idempotents.
     monkeypatch.setattr(locder, "_derivation_rref", _no_der)
     monkeypatch.setattr(deriv, "_derivation_rref", _no_der)
-    for ring in (GF(2), GF(3), GF(5), QQ):
-        for poset in small_posets(4):
+    posets = small_posets(5)
+    assert len(posets) == 407
+    for ring in CENSUS_RINGS:
+        for poset in posets:
             assert local_dimension(poset, ring) == _oracle_dimension(poset, ring)
     assert sum(1 for _ in locder._probe_family(chain(12))) == 331
+
+
+@pytest.mark.parametrize("ring", CENSUS_RINGS, ids=lambda ring: ring.designator())
+def test_census_der_and_campaign_match_leibniz_oracle(ring):
+    # The same census for Der, which the test above keeps away.  The
+    # campaign scans the same T(P) spans, so each of its two
+    # non-derivation samples must fail a probe.
+    for poset in small_posets(5):
+        assert derivation_dimension(poset, ring) == _oracle_dimension(poset, ring)
+        report = theorem_verify_random(poset, ring, trials=2, seed=1)
+        assert (report.verdict, report.s_loc) == ("confirmed", 2), poset.serialize()
 
 
 def _no_der(poset, ring):

@@ -1,8 +1,11 @@
-"""The package's public names, resolved on first use (PEP 562)."""
+"""The package's public names, resolved on first use (PEP 562), and its
+modules' imports."""
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +50,21 @@ def test_bare_import_loads_no_submodule():
         env=child_env(),
     )
     assert proc.stdout == "fia\n"
+
+
+def test_every_module_uses_each_name_it_imports():
+    # A module-level import that nothing in its module reads is dead code;
+    # from __future__ imports are compiler directives, not names.
+    unused = {}
+    for path in sorted(Path(fia.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}

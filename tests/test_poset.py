@@ -23,8 +23,8 @@ def test_parse_chain3():
     p = parse_poset(CHAIN3)
     assert p.elements == ("x", "y", "z")
     assert p.covers == (("x", "y"), ("y", "z"))
-    assert p.leq("x", "z")
-    assert not p.leq("z", "x")
+    assert p.leq_idx(0, 2)
+    assert not p.leq_idx(2, 0)
     assert p.npairs == 6
 
 
@@ -83,11 +83,10 @@ def test_transitive_closure_and_reduction():
 
 def test_interval_and_comparability():
     p = parse_poset(DIAMOND)
-    assert p.interval("bot", "top") == ["bot", "a", "b", "top"]
-    assert p.interval("a", "a") == ["a"]
-    assert not p.leq("a", "b")
-    with pytest.raises(PosetError):
-        p.interval("a", "b")
+    assert p.interval_idx(0, 3) == [0, 1, 2, 3]
+    assert p.interval_idx(1, 1) == [1]
+    assert not p.leq_idx(1, 2)
+    assert p.interval_idx(1, 2) == []
     with pytest.raises(PosetError):
         p.index("missing")
 
