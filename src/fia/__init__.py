@@ -2,8 +2,8 @@
 
 Builds the algebra of interval functions over Q or a prime field,
 studies its derivations (Leibniz maps, inner maps, diagonal maps from
-additive-on-chains data) and checks, by exhaustive or sampled probing,
-that maps which look like derivations pointwise really are derivations.
+additive-on-chains data) and checks, on every element or on a saturating
+probe family, that maps which are derivations pointwise are derivations.
 
 The public names are resolved on first use (PEP 562), so importing the
 package loads none of its modules and a process pays only for the

@@ -2,28 +2,29 @@
 
 A linear map d is a local derivation when every element a has a
 derivation witness agreeing with d there, i.e. d(a) lies in the subspace
-W_a = {D(a) : D a derivation}.  For verify, _images forms the D_k(a) from
-sparse rows D_k of Der, reduced once per caller, and d(a) from d as one
-such row; the witness test reduces d(a) against their echelon basis, and
-witness_for reads a combination of its caller's maps off the same
-elimination.  The condition is linear in d, so the local derivations form
-a subspace Loc containing the derivations Der.
+W_a = {D(a) : D a derivation}.  For exhaustive verify, _images forms the
+D_k(a) from sparse rows D_k of Der, reduced once per caller, and d(a)
+from d as one such row; the witness test reduces d(a) against their
+echelon basis, and witness_for reads a combination of its caller's maps
+off the same elimination.  The condition is linear in d, so the local
+derivations form a subspace Loc containing the derivations Der.
 
-A derivation passes every probe without a scan.  Verify reduces any
-other map modulo Der once and scans that residue up to its first
-witness-less probe, skipping the elimination at every probe the residue
-sends to zero.  Verify's exhaustive mode probes every element over a
-prime field; its spanning mode probes the structured families (units,
-subset idempotents, the chain elements e_xy + e_yz - e_xz - e_y, seeded
-random elements) and never certifies.
-A family longer than PROBE_CAP, a constant that never picks it, is refused.
+A derivation passes every probe without a scan.  Verify's exhaustive
+mode probes every element over a prime field: it reduces any other map
+modulo Der once and scans that residue up to its first witness-less
+probe, skipping the elimination at every probe the residue sends to
+zero.  A family longer than PROBE_CAP, a constant that never picks it,
+is refused.  Its spanning mode scans T(P) over any field and reads no
+Der: a derivation is only inconclusive, any other map is rejected at its
+first failing probe, and one passing every probe is REFUTED.
 
-Both theorem harnesses rest on T(P), which saturates over any field, and
-read W_a = [FI, a] on its probes from _t_p_spans: local_dimension reads
-dim Loc off them, enumerate compares that with dim Der over a prime field,
-and the campaign reduces each sampled non-derivation's d(a) against them.
-T(P) is linear in npairs, so no cap is charged for it.  Everything runs
-in one process, in a fixed order, so a report depends only on its inputs.
+Spanning verify and both theorem harnesses rest on T(P), which saturates
+over any field, and read W_a = [FI, a] on its probes from _t_p_spans:
+local_dimension reads dim Loc off them, enumerate compares that with
+dim Der over a prime field, and _t_p_failures reduces each map that
+spanning verify or the campaign scans against them.  T(P) is linear in
+npairs, so no cap is charged for it.  Everything runs in one process,
+in a fixed order, so a report depends only on its inputs.
 
 Each report is a record, set by keyword where it is built and written by
 deriv's one to_json; the lemma checks are one table of named results,
@@ -34,8 +35,8 @@ from __future__ import annotations
 
 import random
 import sys
-from itertools import chain, combinations, product
-from math import comb, log10
+from itertools import chain, product
+from math import log10
 
 from . import _linalg
 from .deriv import (
@@ -73,8 +74,6 @@ PROBE_CAP = 1 << 20
 # entries.  That admits 50 trials on the 16-chain (136 pairs): 80 MB and 4.2-5.4 s
 # over q, 30 MB and 0.6-0.7 s over zp:101 (Python 3.11.7, 2-vCPU shared VM).
 CAMPAIGN_SCALAR_CAP = 1 << 20
-SPANNING_RANDOM_PROBES = 32
-SPANNING_SUBSET_LIMIT = 12
 # Random elements and subset masks that lemma_conformance draws.
 LEMMA_SAMPLES = 3
 
@@ -86,7 +85,7 @@ VERDICT_REFUTED = "REFUTED"
 
 
 class LocalCheckReport(_Report):
-    failing_probe = seed = None
+    failing_probe = None
 
 
 class LemmaReport(_Report):
@@ -148,53 +147,7 @@ def witness_for(d: LinearEndo, a: FiElement, der_basis) -> LinearEndo | None:
     return _endo_from_rows(poset, ring, zip(coeffs, rows[1:]))
 
 
-# -- the probe scan ----------------------------------------------------------
-
-
-def _check_local(d, mode, seed=None):
-    """The probe scan behind both verify modes.
-
-    The family's length is charged to PROBE_CAP before any probe, so it
-    is walked whole or not at all.  A derivation is its own witness at
-    every probe, so it passes all of them without a scan; any other map
-    is scanned up to its first witness-less probe, which is attached and
-    which probes_checked counts.  What is scanned is d's residue modulo
-    Der: D(a) lies in W_a for every D in Der, so d and d - D have
-    witnesses at the same probes, and each probe at which the residue's
-    image is zero passes with no elimination.  W_a is read off Der's rows,
-    as off T(P) it can exceed [FI, a].  Passing every probe is
-    local_derivation in exhaustive mode and only inconclusive in spanning
-    mode.
-    """
-    poset, ring = d.poset, d.ring
-    if mode == "exhaustive":
-        total = ring.p**poset.npairs
-        vectors = _digit_vectors(ring.p, poset.npairs)
-    else:
-        total = _spanning_count(poset)
-        vectors = (_dense_vector(poset, a) for a in _spanning_probes(poset, ring, seed))
-    if total > PROBE_CAP:
-        raise CapExceededError(f"{total} {mode} probes exceed the cap of {PROBE_CAP}")
-    designator = ring.designator()
-    if not is_derivation(d):
-        der = _derivation_rref(poset, ring)
-        rows = [_linalg.reduce_vector(_endo_row(d), der, ring), *der.values()]
-        for index, vec in enumerate(vectors, 1):
-            if _residual(ring, rows, vec, poset.npairs):
-                entries = {pair: v for pair, v in zip(poset.ipairs, vec) if v}
-                probe = FiElement(poset, ring, entries)
-                return LocalCheckReport(
-                    mode=mode,
-                    verdict=VERDICT_REJECTED,
-                    probes_checked=index,
-                    ring=designator,
-                    failing_probe=probe,
-                    seed=seed,
-                )
-    verdict = VERDICT_LOCAL if mode == "exhaustive" else VERDICT_INCONCLUSIVE
-    return LocalCheckReport(
-        mode=mode, verdict=verdict, probes_checked=total, ring=designator, seed=seed
-    )
+# -- the probe scans ---------------------------------------------------------
 
 
 def _digit_vectors(p: int, n: int):
@@ -210,68 +163,80 @@ def check_local_exhaustive(d: LinearEndo) -> LocalCheckReport:
 
     Probe i is the element whose coefficient on the t-th canonical pair
     is the t-th base-p digit of i, so the p**npairs probes cover the
-    algebra.  The verdict is local_derivation iff every probe has a
-    witness; otherwise the first witness-less probe is attached.
+    algebra.  Their count is charged to PROBE_CAP before any probe, so
+    the family is walked whole or not at all.  A derivation is its own
+    witness at every probe, so it passes all of them without a scan; any
+    other map is scanned up to its first witness-less probe, which is
+    attached and which probes_checked counts.  What is scanned is d's
+    residue modulo Der: D(a) lies in W_a for every D in Der, so d and
+    d - D have witnesses at the same probes, and each probe at which the
+    residue's image is zero passes with no elimination.  W_a is read off
+    Der's rows, as off T(P) it can exceed [FI, a].  The verdict is
+    local_derivation iff every probe has a witness.
     """
-    if d.ring.kind != "zp":
+    poset, ring = d.poset, d.ring
+    if ring.kind != "zp":
         raise RingError("exhaustive probing needs a zp ring")
-    return _check_local(d, "exhaustive")
-
-
-# -- spanning probes -------------------------------------------------------
-
-
-def _chain_probe(poset, ring, i, k, j) -> FiElement:
-    """e_ik + e_kj - e_ij - e_kk; the four pairs differ, as i < k < j."""
-    one, minus_one = ring.one, ring.neg(ring.one)
-    return FiElement(
-        poset, ring, {(i, k): one, (k, j): one, (i, j): minus_one, (k, k): minus_one}
+    total = ring.p**poset.npairs
+    if total > PROBE_CAP:
+        raise CapExceededError(
+            f"{total} exhaustive probes exceed the cap of {PROBE_CAP}"
+        )
+    designator = ring.designator()
+    if not is_derivation(d):
+        der = _derivation_rref(poset, ring)
+        rows = [_linalg.reduce_vector(_endo_row(d), der, ring), *der.values()]
+        for index, vec in enumerate(_digit_vectors(ring.p, poset.npairs), 1):
+            if _residual(ring, rows, vec, poset.npairs):
+                entries = {pair: v for pair, v in zip(poset.ipairs, vec) if v}
+                return LocalCheckReport(
+                    mode="exhaustive",
+                    verdict=VERDICT_REJECTED,
+                    probes_checked=index,
+                    ring=designator,
+                    failing_probe=FiElement(poset, ring, entries),
+                )
+    return LocalCheckReport(
+        mode="exhaustive", verdict=VERDICT_LOCAL, probes_checked=total, ring=designator
     )
 
 
-def _spanning_count(poset) -> int:
-    """The length of the spanning family."""
-    n = len(poset)
-    limit = min(n, SPANNING_SUBSET_LIMIT)
-    subsets = sum(comb(n, size) for size in range(limit + 1))
-    chains = sum(len(poset.interval_idx(i, j)) - 2 for i, j in poset.ipairs if i != j)
-    return poset.npairs + subsets + chains + SPANNING_RANDOM_PROBES
+def check_local_spanning(d: LinearEndo, seed: int = 0) -> LocalCheckReport:
+    """Scan T(P) over any field; verdicts are inconclusive, rejected or REFUTED.
+
+    A derivation passes every probe, so it is inconclusive without a
+    scan.  Any other map is rejected at its first probe a with d(a)
+    outside W_a = [FI, a], which is attached; one that passes all of
+    T(P) contradicts the proof in _probe_family, so it is REFUTED.  No
+    probe is random, so seed changes nothing.
+    """
+    poset, ring = d.poset, d.ring
+    report = LocalCheckReport(
+        mode="spanning",
+        verdict=VERDICT_INCONCLUSIVE,
+        probes_checked=sum(1 for _ in _probe_family(poset)),
+        ring=ring.designator(),
+    )
+    if is_derivation(d):
+        return report
+    failures = _t_p_failures(poset, ring, [d])
+    if not failures:
+        report.verdict = VERDICT_REFUTED
+        return report
+    (index, probe), = failures.values()
+    entries = {poset.ipairs[t]: ring.one for t in probe}
+    report.verdict, report.probes_checked = VERDICT_REJECTED, index
+    report.failing_probe = FiElement(poset, ring, entries)
+    return report
 
 
-def _spanning_probes(poset, ring, seed):
-    """The spanning family in order: units, subsets, chain elements, random."""
-    els = poset.elements
-    for i, j in poset.ipairs:
-        yield unit(poset, ring, els[i], els[j])
-    n = len(els)
-    for size in range(min(n, SPANNING_SUBSET_LIMIT) + 1):
-        for combo in combinations(range(n), size):
-            yield subset_idempotent(poset, ring, [els[i] for i in combo])
-    for i, j in poset.ipairs:
-        for k in poset.interval_idx(i, j):
-            if i != k != j:
-                yield _chain_probe(poset, ring, i, k, j)
-    rng = random.Random(seed)
-    for _ in range(SPANNING_RANDOM_PROBES):
-        yield _random_element(poset, ring, rng)
+# -- lemma conformance -----------------------------------------------------
 
 
 def _random_element(poset, ring, rng) -> FiElement:
     """An element with one ring.sample(rng) per pair, in canonical order."""
     values = ((pair, ring.sample(rng)) for pair in poset.ipairs)
     return FiElement(poset, ring, {pair: v for pair, v in values if v != ring.zero})
-
-
-def check_local_spanning(d: LinearEndo, seed: int = 0) -> LocalCheckReport:
-    """Probe the structured families; verdicts are rejected or inconclusive.
-
-    Passing every probe proves nothing, so the positive verdict is only
-    inconclusive; a witness-less probe still rejects soundly.
-    """
-    return _check_local(d, "spanning", seed)
-
-
-# -- lemma conformance -----------------------------------------------------
 
 
 def lemma_conformance(d: LinearEndo, seed: int = 0) -> LemmaReport:
@@ -405,6 +370,27 @@ def _t_p_spans(poset: Poset, ring: CoeffRing):
         yield probe, _linalg.rref(spans, ring)
 
 
+def _t_p_failures(poset: Poset, ring: CoeffRing, maps) -> dict:
+    """{k: (index, probe)} for each map k with d(a) outside W_a on a T(P) probe a.
+
+    The maps walk the _t_p_spans stream together, each up to its first
+    failing probe, the index-th of T(P) counted from one; d(a) is the sum
+    of d's columns at a.  A map that passes every probe has no entry.
+    """
+    pending = dict(enumerate(maps))
+    failures = {}
+    for index, (probe, w_a) in enumerate(_t_p_spans(poset, ring), 1):
+        for k, d in list(pending.items()):
+            sums = map(sum, zip(*(d.cols[c] for c in probe)))
+            image = {r: v for r, v in enumerate(map(ring.canonical, sums)) if v}
+            if _linalg.reduce_vector(image, w_a, ring):
+                failures[k] = index, probe
+                del pending[k]
+        if not pending:
+            break
+    return failures
+
+
 def local_dimension(poset: Poset, ring: CoeffRing) -> int:
     """dim Loc over any field, as the nullity of the conditions of T(P).
 
@@ -481,9 +467,8 @@ def theorem_verify_random(
 
     Random derivations (combinations of the derivation basis) must pass
     is_derivation, and random non-derivations must fail a probe of T(P),
-    which saturates.  The maps scanned walk the _t_p_spans stream together,
-    each up to the first probe a with d(a), the sum of d's columns at a,
-    outside W_a; it is charged that probe's index plus one, and any other
+    which saturates.  _t_p_failures scans the maps that are no derivation;
+    each is charged the index of its first failing probe, and any other
     sample |T(P)|.  Der's rows only draw the derivation samples.
     """
     if trials < 1:
@@ -506,25 +491,15 @@ def theorem_verify_random(
         samples += [_non_derivation(poset, ring, rng) for _ in range(trials)]
     # Non-derivations met is_derivation while being sampled.
     passed = [is_derivation(d) for d in samples[:trials]]
-    pending = [d for d, ok in zip(samples, passed + [False] * trials) if not ok]
-    stops = []
-    for index, (probe, w_a) in enumerate(_t_p_spans(poset, ring), 1):
-        passing = []
-        for d in pending:
-            sums = map(sum, zip(*(d.cols[c] for c in probe)))
-            image = {r: v for r, v in enumerate(map(ring.canonical, sums)) if v}
-            if _linalg.reduce_vector(image, w_a, ring):
-                stops.append(index)
-            else:
-                passing.append(d)
-        pending = passing
-        if not pending:
-            break
-    s_loc = len(samples) - len(stops)
-    probes = sum(stops) + s_loc * sum(1 for _ in _probe_family(poset))
+    scanned = [d for d, ok in zip(samples, passed + [False] * trials) if not ok]
+    failures = _t_p_failures(poset, ring, scanned)
+    s_loc = len(samples) - len(failures)
+    probes = sum(index for index, _ in failures.values())
+    probes += s_loc * sum(1 for _ in _probe_family(poset))
+    confirmed = all(passed) and len(failures) == len(scanned)
     return TheoremReport(
         mode="random",
-        verdict=VERDICT_CONFIRMED if all(passed) and not pending else VERDICT_REFUTED,
+        verdict=VERDICT_CONFIRMED if confirmed else VERDICT_REFUTED,
         ring=ring.designator(),
         s_der=trials,
         s_loc=s_loc,

@@ -104,7 +104,7 @@ MUTANTS = (
         "deriv.py",
         "            if value is not None\n",
         "",
-        ("tests/test_golden.py::test_reports_match_the_golden_bytes[locder verify]",),
+        ("tests/test_deriv.py::test_report_json_skips_unset_fields",),
     ),
     Mutant(
         "der basis drops the comma between maps",
@@ -192,6 +192,23 @@ MUTANTS = (
         "report.verdict in (locder.VERDICT_REJECTED, locder.VERDICT_REFUTED)",
         "report.verdict == locder.VERDICT_REFUTED",
         ("tests/test_cli.py::test_locder_verify_bad_map_spanning_exit_1",),
+    ),
+    Mutant(
+        "a non-derivation that passes T(P) reads inconclusive",
+        "locder.py",
+        "report.verdict = VERDICT_REFUTED",
+        "pass",
+        ("tests/test_cli.py::test_locder_verify_spanning_refutes_a_map_passing_t_p",),
+    ),
+    Mutant(
+        "spanning verify scans derivations too",
+        "locder.py",
+        "    if is_derivation(d):\n        return report",
+        "    if False:\n        return report",
+        (
+            "tests/test_locder.py::test_spanning_is_only_inconclusive_on_derivations",
+            "tests/test_locder.py::test_spanning_derivation_report_matches_full_scan",
+        ),
     ),
     Mutant(
         "QQ is rebuilt on every access",

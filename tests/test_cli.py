@@ -203,7 +203,7 @@ def test_locder_verify_bad_map_spanning_exit_1(capsys, chain3_file, bad_map_file
     )
     assert code == 1
     assert obj["verdict"] == "rejected"
-    assert obj["probes_checked"] == 15
+    assert obj["probes_checked"] == 16
     assert element_from_json(CHAIN3, obj["failing_probe"]).coeff("x", "y") == 1
 
 
@@ -222,16 +222,49 @@ def test_locder_verify_exhaustive_needs_zp(capsys, chain3_file, good_map_file):
     assert "zp" in capsys.readouterr().err
 
 
-def test_locder_verify_probe_cap_exit_2(capsys, monkeypatch, chain2_file, z2_map_file):
-    # Both families on the 2-chain are longer than 4 (8 and 39 probes);
-    # neither is cut short.
+def test_locder_verify_probe_cap_exit_2(
+    capsys, monkeypatch, tmp_path, chain2_file, z2_map_file
+):
+    # Exhaustive verify refuses the 2-chain's 8 probes above a cap of 4,
+    # before any output, rather than cut the family short.
     monkeypatch.setattr("fia.locder.PROBE_CAP", 4)
-    for mode, total in (("exhaustive", 8), ("spanning", 39)):
-        code = run(["locder", "verify", chain2_file, z2_map_file, "--mode", mode])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {total} {mode} probes exceed the cap of 4\n"
+    assert run(["locder", "verify", chain2_file, z2_map_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 8 exhaustive probes exceed the cap of 4\n"
+    # Spanning verify scans T(P), linear in npairs, and has no cap: on 24
+    # elements T(P) has 259 probes, where the structured family spanning
+    # once probed had about 9.7 M > 2^20.
+    poset = random_poset(24, 0.1, 1)
+    poset_file = tmp_path / "random24.poset"
+    poset_file.write_text(poset.serialize())
+    d = derivation_basis(poset, parse_ring("zp:3"))[0]
+    der = write_json(tmp_path, "der.json", d.to_json())
+    d.cols[-1][0] = (d.cols[-1][0] + 1) % 3
+    miss = write_json(tmp_path, "miss.json", d.to_json())
+    argv = ["locder", "verify", str(poset_file), der, "--mode", "spanning"]
+    code, obj, _ = run_json(capsys, argv)
+    assert (code, obj["verdict"], obj["probes_checked"]) == (0, "inconclusive", 259)
+    argv[3] = miss
+    code, obj, _ = run_json(capsys, argv)
+    assert (code, obj["verdict"]) == (1, "rejected")
+
+
+def test_locder_verify_spanning_refutes_a_map_passing_t_p(capsys, monkeypatch):
+    # A non-derivation that passes every probe of T(P) contradicts the
+    # proof in locder._probe_family.  With T(P) emptied every map passes,
+    # so a near-miss is REFUTED (exit 1) and a derivation stays inconclusive.
+    monkeypatch.setattr(locder, "_probe_family", lambda poset: iter(()))
+    poset = str(GOLDEN / "chain3.poset")
+    for name, code, verdict in (
+        ("chain3.q.patch.json", 1, "REFUTED"),
+        ("chain3.zp3.miss.json", 1, "REFUTED"),
+        ("chain3.q.der.json", 0, "inconclusive"),
+    ):
+        argv = ["locder", "verify", poset, str(GOLDEN / name), "--mode", "spanning"]
+        assert run(argv) == code, name
+        out = capsys.readouterr().out
+        assert out.endswith(f"verdict: {verdict}\nprobes_checked: 0\n"), name
 
 
 def test_theorem_random_refuses_huge_trials_at_once(capsys, tmp_path, chain2_file):

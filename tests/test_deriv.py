@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fia import _linalg
+from fia import _linalg, deriv
 from fia._linalg import add_row, nullspace, reduce_vector, rref
 from fia.deriv import (
     LinearEndo,
@@ -586,6 +586,15 @@ def test_decomposition_json_shape():
     assert obj["alpha"]["ring"] == "q"
     assert all(set(e) == {"from", "to", "value"} for e in obj["sigma"])
 
+
+
+def test_report_json_skips_unset_fields():
+    # A field a report leaves at None is omitted, the others keep their
+    # order, and an element field is written as its JSON.
+    probe = element(CHAIN2, QQ, {("a", "b"): 1})
+    report = deriv._Report(mode="m", seed=None, probe=probe, count=0)
+    assert report.to_json() == {"mode": "m", "probe": probe.to_json(), "count": 0}
+    assert list(report.to_json()) == ["mode", "probe", "count"]
 
 # -- idempotent identity ---------------------------------------------------
 

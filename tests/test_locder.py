@@ -23,7 +23,6 @@ from fia.fialg import AlgebraError, FiElement, delta, element, unit, zero
 from fia.locder import (
     CapExceededError,
     LocalCheckReport,
-    _spanning_probes,
     check_local_exhaustive,
     check_local_spanning,
     lemma_conformance,
@@ -325,13 +324,14 @@ def test_spanning_rejects_non_cocycle_diagonal_map():
     sigma = element(CHAIN3, QQ, NON_COCYCLE_CHAIN3)
     report = check_local_spanning(sigma_endo(sigma), seed=0)
     assert report.verdict == "rejected"
-    # 6 units, 8 subset idempotents, then the one chain probe: 15th.
-    assert report.probes_checked == 15
+    # 6 units, 3 two-unit probes per x < y, then the one chain idempotent:
+    # only that last probe sees sigma(x, z) != sigma(x, y) + sigma(y, z).
+    assert report.probes_checked == 16
     assert report.failing_probe == (
         unit(CHAIN3, QQ, "x", "y")
+        + unit(CHAIN3, QQ, "x", "z")
+        + unit(CHAIN3, QQ, "y", "y")
         + unit(CHAIN3, QQ, "y", "z")
-        - unit(CHAIN3, QQ, "x", "z")
-        - unit(CHAIN3, QQ, "y", "y")
     )
 
 
@@ -341,58 +341,66 @@ def test_spanning_is_only_inconclusive_on_derivations():
     d = random_derivation(CHAIN3, QQ, rng, basis)
     report = check_local_spanning(d, seed=9)
     assert report.verdict == "inconclusive"
-    assert report.seed == 9
-    # 6 units + 8 subsets + 1 chain element + 32 random draws.
-    assert report.probes_checked == 47
-    assert report.to_json()["seed"] == 9
+    # |T(P)| on the 3-chain: 6 units, 9 two-unit probes, 1 chain idempotent.
+    assert report.probes_checked == 16
+    # No probe is random, so the report carries no seed.
+    assert "seed" not in report.to_json()
 
 
 def test_spanning_deterministic_per_seed():
+    # The seed is accepted and changes nothing.
     sigma = element(CHAIN3, QQ, NON_COCYCLE_CHAIN3)
-    d = sigma_endo(sigma)
-    a = check_local_spanning(d, seed=4).to_json()
-    b = check_local_spanning(d, seed=4).to_json()
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    basis = derivation_basis(CHAIN3, QQ)
+    derivation = random_derivation(CHAIN3, QQ, random.Random(3), basis)
+    for d in (sigma_endo(sigma), derivation):
+        reports = {
+            json.dumps(check_local_spanning(d, seed=seed).to_json(), sort_keys=True)
+            for seed in (0, 4, 1 << 15)
+        }
+        assert len(reports) == 1
 
 
-def test_spanning_probe_cap_refuses_a_longer_family(monkeypatch):
-    # A cut-short family could pass a map a later probe rejects, so a cap
-    # below the family length is refused, for derivations and others.
-    family = locder._spanning_count(CHAIN3)
-    sigma = element(CHAIN3, QQ, NON_COCYCLE_CHAIN3)
-    for d in (LinearEndo.zero(CHAIN3, QQ), sigma_endo(sigma)):
-        for cap in (5, family - 1):
-            monkeypatch.setattr(locder, "PROBE_CAP", cap)
-            with pytest.raises(CapExceededError, match=f"cap of {cap}$"):
-                check_local_spanning(d)
-    monkeypatch.setattr(locder, "PROBE_CAP", family)
-    report = check_local_spanning(LinearEndo.zero(CHAIN3, QQ))
-    assert report.verdict == "inconclusive"
-    assert report.probes_checked == family
+def test_probe_cap_bounds_exhaustive_only(monkeypatch):
+    # A cut-short family could pass a map a later probe rejects, so
+    # exhaustive mode refuses a family above the cap, derivation or not.
+    # Spanning mode scans T(P), linear in npairs, and has no cap: on 24
+    # elements the structured family it once probed had about 9.7 M > 2^20
+    # probes, and T(P) has 259.
+    sigma = element(CHAIN3, GF(2), NON_COCYCLE_CHAIN3)
+    for d in (LinearEndo.zero(CHAIN3, GF(2)), sigma_endo(sigma)):
+        monkeypatch.setattr(locder, "PROBE_CAP", 63)
+        with pytest.raises(CapExceededError, match="cap of 63$"):
+            check_local_exhaustive(d)
+    monkeypatch.setattr(locder, "PROBE_CAP", 1)
+    poset, ring = random_poset(24, 0.1, 1), GF(3)
+    d = random_derivation(poset, ring, random.Random(2), derivation_basis(poset, ring))
+    report = check_local_spanning(d)
+    assert (report.verdict, report.probes_checked) == ("inconclusive", 259)
+    d.cols[-1][0] = ring.add(d.cols[-1][0], ring.one)
+    report = check_local_spanning(d)
+    assert report.verdict == "rejected"
+    assert witness_for(d, report.failing_probe, derivation_basis(poset, ring)) is None
 
 
-def test_spanning_derivation_report_matches_full_scan(monkeypatch):
-    # A derivation is accepted without probing; the report must be the
-    # one the verb's own scan of the spanning family gives.
+def test_spanning_derivation_report_matches_full_scan():
+    # A derivation is inconclusive without a scan; a scan of all of T(P)
+    # must pass it, as W_a = [FI, a] holds its image at every probe.
     rng = random.Random(31)
     for poset in (*SMALL_POSETS, DIAMOND, CROWN):
+        size = sum(1 for _ in locder._probe_family(poset))
         for ring in (QQ, GF(5)):
             basis = derivation_basis(poset, ring)
             for _ in range(2):
                 d = random_derivation(poset, ring, rng, basis)
-                seed = rng.randrange(1 << 16)
-                family = list(_spanning_probes(poset, ring, seed))
                 expected = LocalCheckReport(
                     mode="spanning",
                     verdict="inconclusive",
-                    probes_checked=len(family),
+                    probes_checked=size,
                     ring=ring.designator(),
-                    seed=seed,
                 )
-                got = check_local_spanning(d, seed=seed)
+                got = check_local_spanning(d, seed=rng.randrange(1 << 16))
                 assert got.to_json() == expected.to_json()
-                scan = _scanned(monkeypatch, check_local_spanning, d, seed)
-                assert scan.to_json() == expected.to_json()
+                assert locder._t_p_failures(poset, ring, [d]) == {}
 
 
 def _non_derivations(poset, ring, rng):
@@ -417,25 +425,27 @@ def test_failing_probe_is_the_probe_at_probes_checked():
     # The scan hands back the probe it failed at.  Rebuild that probe
     # without the scan, from probes_checked alone: in exhaustive mode it
     # has the base-p digits of probes_checked - 1, in spanning mode it is
-    # that entry of the family.  It must have no witness.
+    # that entry of T(P), coefficient one on each pair.  It must have no
+    # witness.
     rng = random.Random(41)
     indices = set()
     # Every map on the empty poset is a derivation, so it is left out.
     for poset in (*SMALL_POSETS[1:], DIAMOND, CROWN):
-        cases = [(ring, None) for ring in (GF(2), GF(3))]
-        cases += [(ring, seed) for ring in (QQ, GF(5)) for seed in (0, 7, 1 << 15)]
-        for ring, seed in cases:
+        cases = [(ring, "exhaustive") for ring in (GF(2), GF(3))]
+        cases += [(ring, "spanning") for ring in (QQ, GF(5), GF(2), GF(3))]
+        for ring, mode in cases:
             for d in _non_derivations(poset, ring, rng):
-                if seed is None:
+                if mode == "exhaustive":
                     report = check_local_exhaustive(d)
                     index = report.probes_checked - 1
                     digits = [index // ring.p**t % ring.p for t in range(poset.npairs)]
                     entries = {pair: v for pair, v in zip(poset.ipairs, digits) if v}
                     expected = FiElement(poset, ring, entries)
                 else:
-                    report = check_local_spanning(d, seed=seed)
-                    family = list(_spanning_probes(poset, ring, seed))
-                    expected = family[report.probes_checked - 1]
+                    report = check_local_spanning(d)
+                    probe = list(locder._probe_family(poset))[report.probes_checked - 1]
+                    entries = {poset.ipairs[t]: ring.one for t in probe}
+                    expected = FiElement(poset, ring, entries)
                 assert report.verdict == "rejected"
                 assert report.failing_probe == expected
                 basis = derivation_basis(poset, ring)
@@ -443,15 +453,6 @@ def test_failing_probe_is_the_probe_at_probes_checked():
                 indices.add(report.probes_checked)
     # The scan stops at many different probes, not only the first ones.
     assert len(indices) > 10
-
-
-def test_spanning_count_is_the_untruncated_family_length():
-    # Thirteen elements take the subset limit of twelve into account.
-    posets = [CHAIN3, DIAMOND, CROWN, random_poset(13, 0.2, 5)]
-    posets += [random_poset(6, 0.5, seed) for seed in range(6)]
-    for poset in posets:
-        family = list(_spanning_probes(poset, QQ, 0))
-        assert locder._spanning_count(poset) == len(family)
 
 
 # -- lemma conformance -------------------------------------------------------
@@ -824,6 +825,18 @@ def _patchwork(poset, ring, rng):
             return d
 
 
+def _patchworks_exist(poset, ring):
+    """Whether _patchwork can find a map on poset over ring.
+
+    The patchworks form the direct sum of the W_{e_c}, which holds Der and
+    is Der when the ranks add up to dim Der.
+    """
+    basis = _oracle_basis(poset, ring)
+    columns = range(poset.npairs)
+    ranks = [len(dense_rref([b.cols[c] for b in basis], ring)) for c in columns]
+    return sum(ranks) > len(basis)
+
+
 def test_random_campaign_rejects_patchworks_that_pass_every_unit(monkeypatch):
     # Only the sums and chain idempotents of T(P) can reject a patchwork,
     # so a campaign that scanned the units alone would count each one
@@ -832,22 +845,46 @@ def test_random_campaign_rejects_patchworks_that_pass_every_unit(monkeypatch):
     campaigns = 0
     for ring in (GF(2), GF(3), QQ):
         for poset in small_posets(4):
-            basis = _oracle_basis(poset, ring)
-            n = poset.npairs
-            # The patchworks form the direct sum of the W_{e_c}, which holds
-            # Der and is Der when the ranks add up to dim Der.
-            ranks = [len(dense_rref([b.cols[c] for b in basis], ring)) for c in range(n)]
-            if sum(ranks) == len(basis):
+            if not _patchworks_exist(poset, ring):
                 continue
-            # The spanning family opens with the units, so a patchwork
-            # scanned past them passed every one.
+            # T(P) opens with the units, so a patchwork scanned past them
+            # passed every one.
             d = _patchwork(poset, ring, random.Random(0))
-            assert check_local_spanning(d).probes_checked > n
+            assert check_local_spanning(d).probes_checked > poset.npairs
             report = theorem_verify_random(poset, ring, trials=3, seed=4)
             assert report.verdict == "confirmed"
             assert report.s_loc == 3
             campaigns += 1
     assert campaigns >= 100
+
+
+def test_spanning_reads_no_der_and_fails_where_it_says(monkeypatch):
+    # Spanning verify reads W_a = [FI, a] off T(P), never Der, and rejects
+    # random maps, derivations bumped at one entry and patchworks, which
+    # pass every unit, at a probe with no witness in Der; over a prime
+    # field the exhaustive scan rejects the same maps.
+    rng = random.Random(61)
+    checked = set()
+    for ring in (GF(2), GF(3), QQ):
+        for poset in small_posets(4):
+            basis = derivation_basis(poset, ring)
+            maps = _non_derivations(poset, ring, rng)
+            if _patchworks_exist(poset, ring):
+                maps.append(_patchwork(poset, ring, rng))
+            for d in maps:
+                with monkeypatch.context() as m:
+                    m.setattr(locder, "_derivation_rref", _no_der)
+                    m.setattr(deriv, "_derivation_rref", _no_der)
+                    report = check_local_spanning(d)
+                assert report.verdict == "rejected"
+                assert witness_for(d, report.failing_probe, basis) is None
+                if ring.kind == "zp":
+                    assert check_local_exhaustive(d).verdict == "rejected"
+                checked.add((len(report.failing_probe.entries), len(maps)))
+    # Probes of one, two and four units reject, on posets with and
+    # without patchworks.
+    assert {size for size, _ in checked} == {1, 2, 4}
+    assert {count for _, count in checked} == {2, 3}
 
 
 def test_random_campaign_zero_trials():
