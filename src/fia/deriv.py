@@ -8,11 +8,11 @@ that is additive along chains (a cocycle), and every such sum is a
 derivation.  Both alpha and sigma are functions on the pairs, so both are
 algebra elements (FiElement).  _split reads them off a map and lists what
 the split leaves over; is_derivation and decompose read their answers off
-it.  The cocycle condition is one row set, _cocycle_rows, which
-is_cocycle evaluates and _cocycle_basis eliminates.  The derivation space
-is the exact span of the commutator maps [e_xy, .] and of D_sigma over a
-cocycle basis, reduced to sparse rows once per caller, which passes them
-on; its basis and dimension come from them.
+it.  The cocycle condition is one row set, _cocycle_rows, which is_cocycle
+evaluates, _cocycle_basis eliminates and locder's chain probes read on a
+map's diagonal.  Der is the exact span of the commutator maps [e_xy, .]
+and of D_sigma over a cocycle basis, reduced to sparse rows once per
+caller, which passes them on; its basis and dimension come from them.
 They are the one form of Der that library paths read: a dense map is
 built from rows only by _endo_from_rows, for callers that get a map.
 Each report, here and in locder, is a record: a SimpleNamespace whose

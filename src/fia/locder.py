@@ -18,13 +18,13 @@ is refused.  Its spanning mode scans T(P) over any field and reads no
 Der: a derivation is only inconclusive, any other map is rejected at its
 first failing probe, and one passing every probe is REFUTED.
 
-Spanning verify and both theorem harnesses rest on T(P), which saturates
-over any field, and read W_a = [FI, a] on its probes from _t_p_spans:
-local_dimension reads dim Loc off them, enumerate compares that with
-dim Der over a prime field, and _t_p_failures reduces each map that
-spanning verify or the campaign scans against them.  T(P) is linear in
-npairs, so no cap is charged for it.  Everything runs in one process,
-in a fixed order, so a report depends only on its inputs.
+Spanning verify and both theorem harnesses rest on T(P).  _t_p_conditions
+yields each probe a with what d(a) in W_a = [FI, a] asks of d, a support
+or +-1 rows, so no probe eliminates: _t_p_failures checks the maps that
+spanning verify or the campaign scans, and local_dimension takes dim Loc
+as their nullity, which enumerate compares with dim Der over a prime
+field.  T(P) is linear in npairs and never capped.  Everything runs in
+one process, in a fixed order, so a report depends only on its inputs.
 
 Each report is a record, set by keyword where it is built and written by
 deriv's one to_json; the lemma checks are one table of named results,
@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import random
 import sys
-from itertools import chain, product
+from itertools import chain, islice, product
 from math import log10
 
 from . import _linalg
 from .deriv import (
     LinearEndo,
-    _commutator_rows,
+    _cocycle_rows,
     _dense_vector,
     _derivation_rref,
     _endo_from_rows,
@@ -207,14 +207,14 @@ def check_local_spanning(d: LinearEndo, seed: int = 0) -> LocalCheckReport:
     A derivation passes every probe, so it is inconclusive without a
     scan.  Any other map is rejected at its first probe a with d(a)
     outside W_a = [FI, a], which is attached; one that passes all of
-    T(P) contradicts the proof in _probe_family, so it is REFUTED.  No
+    T(P) contradicts the proof in _t_p_conditions, so it is REFUTED.  No
     probe is random, so seed changes nothing.
     """
     poset, ring = d.poset, d.ring
     report = LocalCheckReport(
         mode="spanning",
         verdict=VERDICT_INCONCLUSIVE,
-        probes_checked=sum(1 for _ in _probe_family(poset)),
+        probes_checked=sum(1 for _ in _t_p_conditions(poset, ring)),
         ring=ring.designator(),
     )
     if is_derivation(d):
@@ -317,73 +317,75 @@ def lemma_conformance(d: LinearEndo, seed: int = 0) -> LemmaReport:
     )
 
 
-# -- theorem harness: enumeration ------------------------------------------
+# -- T(P): the probes and what each asks of d -------------------------------
 
 
-def _probe_family(poset: Poset):
-    """T(P), each probe as the pair positions of its units, coefficient one each.
+def _t_p_conditions(poset: Poset, ring: CoeffRing):
+    """T(P) in order, each probe a with what d(a) in W_a = [FI, a] asks of d.
 
-    In order: every unit e_xy; e_x + e_y, e_x + e_xy and e_xy + e_y for
-    each x < y; e_xy + e_xz + e_y + e_yz for each cover (x, y) and z > y.
-    On each probe a, W_a = [FI, a]: a's off-diagonal pairs lie in one chain
-    x < y < z, on which a cocycle sigma is a coboundary delta f, and
-    D_{delta f} = -[sum_w f(w) e_w, .] is inner.  A map d with each d(a) in
-    [FI, a] is a derivation over any field, in 3 steps:
-    1. Unit e_x puts d(e_x) on the pairs (u, x), (x, v); e_x + e_y makes
-       its (x, y) entry minus d(e_y)'s, so d' = d - [alpha, .] kills each e_x.
-    2. Then e_x + e_xy, e_xy + e_y and e_xy give d'(e_xy) = sigma(x, y) e_xy.
-    3. (1 - c)[f, c](1 - c) = 0 for an idempotent c and any f; for
-       the chain idempotent c, (1 - c)d'(c)(1 - c) is (sigma(x, z) -
-       sigma(x, y) - sigma(y, z)) e_xz, so sigma is additive on the covers,
-       hence a cocycle, and d = [alpha, .] + D_sigma.  No step divides.
+    A probe is the pair positions of its units, coefficient one each:
+    every unit e_xy; e_x + e_y, e_x + e_xy and e_xy + e_y for each x < y;
+    e_xy + e_xz + e_y + e_yz for each cover (x, y) and z > y.  What it asks
+    is exact once d has passed every earlier probe.  Unit e_xy yields S_xy,
+    the pairs its W spans: (u, y) for u < x, (x, v) for v > y, and (x, y) when
+    x != y.  Any other probe yields rows {c*N + r: +-1} that d must zero:
+    1. e_x + e_y: d(e_x)_xy + d(e_y)_xy, so d' = d - [alpha, .] with
+       alpha(x, y) = d(e_y)_xy kills each e_x.
+    2. e_x + e_xy: d(e_x)_sx - d(e_xy)_sy for s < x; e_xy + e_y:
+       d(e_xy)_xt - d(e_y)_yt for t > y.  So d'(e_xy) = sigma(x, y) e_xy.
+    3. Chain idempotent c: (1 - c)[f, c](1 - c) = 0 for any f, and
+       (1 - c)d'(c)(1 - c) = (sigma(x, z) - sigma(x, y) - sigma(y, z)) e_xz:
+       the cocycle row of x < y < z, read on d's diagonal ([alpha, .] cancels).
+    So a map passing T(P) is [alpha, .] + D_sigma, sigma a cocycle, over any
+    field.  a's pairs lie in one chain, on which a cocycle is a coboundary
+    delta f and D_{delta f} = -[sum_w f(w) e_w, .] is inner: W_a = [FI, a].
     """
-    pos = poset.pair_pos
-    yield from ((t,) for t in range(poset.npairs))
+    n, pos = poset.npairs, poset.pair_pos
+    one, minus = ring.one, ring.neg(ring.one)
+    below = [[u for u, v in poset.ipairs if v == y != u] for y in range(len(poset))]
+    above = [[v for u, v in poset.ipairs if u == x != v] for x in range(len(poset))]
+    for x, y in poset.ipairs:
+        support = {pos(u, y) for u in below[x]} | {pos(x, v) for v in above[y]}
+        yield (pos(x, y),), support if x == y else support | {pos(x, y)}
     for x, y in poset.ipairs:
         if x != y:
             xx, xy, yy = pos(x, x), pos(x, y), pos(y, y)
-            yield from ((xx, yy), (xx, xy), (xy, yy))
-    for x, y, z in poset.cover_chains():
-        yield pos(x, y), pos(x, z), pos(y, y), pos(y, z)
-
-
-def _t_p_spans(poset: Poset, ring: CoeffRing):
-    """Each probe a of T(P), in order, with W_a = [FI, a] in reduced echelon form.
-
-    The commutator rows are filed once by column, as (row k, pair r, value),
-    and a's image under row k sums them over a's own columns: about |a|*|P|
-    entries.  Zero sums are dropped: on e_x + e_y, [e_xy, .] cancels.
-    """
-    n = poset.npairs
-    by_column = [[] for _ in range(n)]
-    for k, row in enumerate(_commutator_rows(poset, ring)):
-        for var, v in row.items():
-            by_column[var // n].append((k, var % n, v))
-    add, zero = ring.add, ring.zero
-    for probe in _probe_family(poset):
-        images: dict[int, dict] = {}
-        for c in probe:
-            for k, r, v in by_column[c]:
-                image = images.setdefault(k, {})
-                image[r] = add(image.get(r, zero), v)
-        spans = ({r: v for r, v in image.items() if v} for image in images.values())
-        yield probe, _linalg.rref(spans, ring)
+            yield (xx, yy), [{xx * n + xy: one, yy * n + xy: one}]
+            yield (xx, xy), [
+                {xx * n + pos(s, x): one, xy * n + pos(s, y): minus} for s in below[x]
+            ]
+            yield (xy, yy), [
+                {xy * n + pos(x, t): one, yy * n + pos(y, t): minus} for t in above[y]
+            ]
+    # _cocycle_rows yields a row per point, then one per cover chain in order.
+    triples = islice(_cocycle_rows(poset, ring), len(poset), None)
+    for (x, y, z), row in zip(poset.cover_chains(), triples):
+        probe = pos(x, y), pos(x, z), pos(y, y), pos(y, z)
+        yield probe, [{t * n + t: v for t, v in row.items()}]
 
 
 def _t_p_failures(poset: Poset, ring: CoeffRing, maps) -> dict:
     """{k: (index, probe)} for each map k with d(a) outside W_a on a T(P) probe a.
 
-    The maps walk the _t_p_spans stream together, each up to its first
-    failing probe, the index-th of T(P) counted from one; d(a) is the sum
-    of d's columns at a.  A map that passes every probe has no entry.
+    The maps walk _t_p_conditions together, each up to its first failing
+    probe, the index-th of T(P) counted from one: unit e_c fails when d(e_c)
+    leaves S_c, any other probe when one of its rows, read off the entries
+    it names, is nonzero on d.  A map that passes every probe has no entry.
     """
-    pending = dict(enumerate(maps))
+    n, canonical = poset.npairs, ring.canonical
+    pending = {k: d.cols for k, d in enumerate(maps)}
     failures = {}
-    for index, (probe, w_a) in enumerate(_t_p_spans(poset, ring), 1):
-        for k, d in list(pending.items()):
-            sums = map(sum, zip(*(d.cols[c] for c in probe)))
-            image = {r: v for r, v in enumerate(map(ring.canonical, sums)) if v}
-            if _linalg.reduce_vector(image, w_a, ring):
+    for index, (probe, condition) in enumerate(_t_p_conditions(poset, ring), 1):
+        for k, cols in list(pending.items()):
+            if len(probe) == 1:
+                col = cols[probe[0]]
+                failed = any(col[r] for r in range(n) if r not in condition)
+            else:
+                failed = any(
+                    canonical(sum(v * cols[i // n][i % n] for i, v in row.items()))
+                    for row in condition
+                )
+            if failed:
                 failures[k] = index, probe
                 del pending[k]
         if not pending:
@@ -394,24 +396,22 @@ def _t_p_failures(poset: Poset, ring: CoeffRing, maps) -> dict:
 def local_dimension(poset: Poset, ring: CoeffRing) -> int:
     """dim Loc over any field, as the nullity of the conditions of T(P).
 
-    Each probe a asks y . d(a) = 0 per annihilator y of W_a from _t_p_spans.
-    Unit e_c keeps d(e_c) on the pivots S_c of W_{e_c}, the variables; any
-    other a takes y over the union of its S_c.  Loc lies between Der and the
-    maps passing T(P), which _probe_family proves are Der, so the nullity is
-    dim Loc; equal to dim Der, it certifies Loc = Der.
+    The variables are the entries (c, r) with r in S_c, the only ones the
+    other probes' rows name, so the nullity is sum |S_c| less their rank.
+    Loc lies between Der and the maps passing T(P), which are Der by
+    _t_p_conditions, so it is dim Loc; equal to dim Der, it certifies Loc = Der.
     """
-    n = poset.npairs
-    supports = [range(n)] * n
-    pivots: dict[int, dict] = {}
-    for probe, w_a in _t_p_spans(poset, ring):
+    variables, pivots = 0, {}
+    for probe, condition in _t_p_conditions(poset, ring):
         if len(probe) == 1:
-            supports[probe[0]] = w_a.keys()
-            continue
-        union = sorted(set().union(*(supports[c] for c in probe)))
-        for y in _linalg.nullspace(w_a, union, ring):
-            row = {c * n + r: y[r] for c in probe for r in y if r in supports[c]}
-            _linalg.add_row(pivots, row, ring)
-    return sum(map(len, supports)) - len(pivots)
+            variables += len(condition)
+        else:
+            for row in condition:
+                _linalg.add_row(pivots, row, ring)
+    return variables - len(pivots)
+
+
+# -- theorem harness: enumeration ------------------------------------------
 
 
 def theorem_verify_enumerate(poset: Poset, prime: int) -> TheoremReport:
@@ -421,8 +421,7 @@ def theorem_verify_enumerate(poset: Poset, prime: int) -> TheoremReport:
     Both are subspaces, so they hold p^dim Der and p^dim Loc maps and
     coincide iff the dimensions agree; probes_checked counts the maps.
     A count longer than int_max_str_digits allows is refused before any
-    work.  The |T(P)| probes that local_dimension walks are never capped,
-    as they are linear in npairs.
+    work; the T(P) walk of local_dimension is never capped.
     """
     ring = GF(prime)
     n = poset.npairs
@@ -495,7 +494,7 @@ def theorem_verify_random(
     failures = _t_p_failures(poset, ring, scanned)
     s_loc = len(samples) - len(failures)
     probes = sum(index for index, _ in failures.values())
-    probes += s_loc * sum(1 for _ in _probe_family(poset))
+    probes += s_loc * sum(1 for _ in _t_p_conditions(poset, ring))
     confirmed = all(passed) and len(failures) == len(scanned)
     return TheoremReport(
         mode="random",

@@ -9,6 +9,8 @@ library's split-based route and its sparse fia._linalg.  The
 endomorphism scan reads Der and every W_a off that Leibniz kernel as
 sets, and the exhaustive scan tests each probe against the span of its
 images, so neither shares anything with the probe scan of fia.locder.
+t_p_first_failure walks T(P) in its own order and finds each probe's
+[FI, a] by elimination, where fia.locder reads supports and +-1 rows.
 """
 
 import itertools
@@ -252,6 +254,55 @@ def commutator_span_basis(poset, ring):
     return [LinearEndo(poset, ring, _columns(r[::-1], n)) for r in reversed(reduced)]
 
 
+def span_rref(maps, vec, ring):
+    """dense_rref of the images m(a) of the given maps, a as a dense vector."""
+    images = []
+    for m in maps:
+        image = [ring.zero] * len(vec)
+        for col, v in zip(m.cols, vec):
+            if v:
+                image = [ring.add(x, ring.mul(v, w)) for x, w in zip(image, col)]
+        images.append(image)
+    return dense_rref(images, ring)
+
+
+def t_p_probes(poset):
+    """T(P) in its order, each probe as the pair positions of its units.
+
+    Every unit; e_x + e_y, e_x + e_xy and e_xy + e_y for each x < y in pair
+    order; e_xy + e_xz + e_y + e_yz for each cover (x, y), in the poset's
+    cover order, and each z > y by index.
+    """
+    pos = poset.pair_pos
+    probes = [(t,) for t in range(poset.npairs)]
+    for x, y in poset.ipairs:
+        if x != y:
+            xx, xy, yy = pos(x, x), pos(x, y), pos(y, y)
+            probes += [(xx, yy), (xx, xy), (xy, yy)]
+    for low, high in poset.covers:
+        x, y = poset.index(low), poset.index(high)
+        for z in range(len(poset)):
+            if z != y and poset.leq_idx(y, z):
+                probes.append((pos(x, y), pos(x, z), pos(y, y), pos(y, z)))
+    return probes
+
+
+def t_p_first_failure(d, commutators):
+    """(index, probe) of d's first T(P) probe a with d(a) outside [FI, a], or None.
+
+    The per-probe elimination: [FI, a] is the span of the images at a of
+    commutators, commutator_span_basis(d.poset, d.ring), and d(a) lies in it
+    iff adding it leaves the rank that dense_rref reads unchanged.
+    """
+    poset, ring = d.poset, d.ring
+    for index, probe in enumerate(t_p_probes(poset), 1):
+        a = [ring.one if t in probe else ring.zero for t in range(poset.npairs)]
+        rank = len(span_rref(commutators, a, ring))
+        if len(span_rref([*commutators, d], a, ring)) > rank:
+            return index, probe
+    return None
+
+
 def dense_decomposition(d):
     """(alpha, sigma, residual) of d by dense subtraction of inner(alpha)."""
     poset, ring = d.poset, d.ring
@@ -284,6 +335,20 @@ def cocycle_by_definition(sigma):
             if ring.add(left, right) != target:
                 return False
     return True
+
+
+def components(poset):
+    """The connected components of the comparability graph, by union-find."""
+    root = list(range(len(poset)))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for x, y in poset.ipairs:
+        root[find(x)] = find(y)
+    return sum(find(x) == x for x in range(len(poset)))
 
 
 def order_complex_h1(poset, ring):

@@ -43,8 +43,17 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-# The two-unit probes of T(P), and the test that each T(P) kind is needed.
-_CORNERS = "yield from ((xx, yy), (xx, xy), (xy, yy))"
+# The corner probes of T(P), and the test that each T(P) kind is needed.
+_CORNERS = (
+    "            yield (xx, xy), [\n"
+    "                {xx * n + pos(s, x): one, xy * n + pos(s, y): minus}"
+    " for s in below[x]\n"
+    "            ]\n"
+    "            yield (xy, yy), [\n"
+    "                {xy * n + pos(x, t): one, yy * n + pos(y, t): minus}"
+    " for t in above[y]\n"
+    "            ]\n"
+)
 _LEIBNIZ = ("tests/test_locder.py::test_local_dimension_matches_leibniz_oracle",)
 # The exhaustive scan of d's residue against a solver-free scan of d.
 _RESIDUE = (
@@ -55,8 +64,9 @@ MUTANTS = (
     Mutant(
         "campaign scans unit probes only",
         "locder.py",
-        "enumerate(_t_p_spans(poset, ring), 1)",
-        "enumerate(((p, w) for p, w in _t_p_spans(poset, ring) if len(p) == 1), 1)",
+        "enumerate(_t_p_conditions(poset, ring), 1)",
+        "enumerate(((p, c) for p, c in _t_p_conditions(poset, ring)"
+        " if len(p) == 1), 1)",
         ("tests/test_locder.py::test_random_campaign_rejects_patchworks_that_pass_every_unit",),
     ),
     Mutant(
@@ -298,56 +308,65 @@ MUTANTS = (
     Mutant(
         "a unit probe's support loses a pair",
         "locder.py",
-        "supports[probe[0]] = w_a.keys()",
-        "supports[probe[0]] = sorted(w_a)[1:]",
+        "{pos(u, y) for u in below[x]}",
+        "{pos(u, y) for u in below[x][1:]}",
         _LEIBNIZ,
     ),
     Mutant(
-        "non-unit rows keep entries outside S_c",
+        "a unit probe's support admits (x, x)",
         "locder.py",
-        "for c in probe for r in y if r in supports[c]}",
-        "for c in probe for r in y}",
+        "support if x == y else support | {pos(x, y)}",
+        "support | {pos(x, y)}",
+        _LEIBNIZ,
+    ),
+    # local_dimension reads the same rank with either sign on the census,
+    # so the first-failure oracle, which derivations must pass, kills it.
+    Mutant(
+        "the point-sum row's sign is flipped",
+        "locder.py",
+        "{xx * n + xy: one, yy * n + xy: one}",
+        "{xx * n + xy: one, yy * n + xy: minus}",
+        ("tests/test_locder.py::test_t_p_failures_match_the_per_probe_elimination",),
+    ),
+    Mutant(
+        "the corner rows run over s <= x",
+        "locder.py",
+        "for s in below[x]",
+        "for s in below[x] + [x]",
         _LEIBNIZ,
     ),
     Mutant(
-        "T(P) spans read only the first unit's column",
-        "locder.py",
-        "for c in probe:\n            for k, r, v in by_column[c]:",
-        "for c in probe[:1]:\n            for k, r, v in by_column[c]:",
-        _LEIBNIZ,
-    ),
-    Mutant(
-        "T(P) spans keep zero images",
-        "locder.py",
-        "{r: v for r, v in image.items() if v} for image",
-        "image for image",
-        _LEIBNIZ,
+        "the chain row reads sigma(x, y) twice",
+        "deriv.py",
+        "yield {pos(i, k): one, pos(k, j): one, pos(i, j): minus_one}",
+        "yield {pos(i, k): one, pos(i, k): one, pos(i, j): minus_one}",
+        ("tests/test_locder.py::test_t_p_failures_match_the_per_probe_elimination",),
     ),
     Mutant(
         "T(P) drops the units",
         "locder.py",
-        "yield from ((t,) for t in range(poset.npairs))",
-        "yield from ()",
+        "yield (pos(x, y),), support if x == y else support | {pos(x, y)}",
+        "pass",
         _LEIBNIZ,
     ),
     Mutant(
         "T(P) drops the point sums e_x + e_y",
         "locder.py",
-        _CORNERS,
-        "yield from ((xx, xy), (xy, yy))",
+        "            yield (xx, yy), [{xx * n + xy: one, yy * n + xy: one}]\n",
+        "",
         _LEIBNIZ,
     ),
     Mutant(
         "T(P) drops the corners e_x + e_xy and e_xy + e_y",
         "locder.py",
         _CORNERS,
-        "yield from ((xx, yy),)",
+        "",
         _LEIBNIZ,
     ),
     Mutant(
         "T(P) drops the chain idempotents",
         "locder.py",
-        "yield pos(x, y), pos(x, z), pos(y, y), pos(y, z)",
+        "yield probe, [{t * n + t: v for t, v in row.items()}]",
         "continue",
         _LEIBNIZ,
     ),

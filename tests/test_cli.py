@@ -252,9 +252,9 @@ def test_locder_verify_probe_cap_exit_2(
 
 def test_locder_verify_spanning_refutes_a_map_passing_t_p(capsys, monkeypatch):
     # A non-derivation that passes every probe of T(P) contradicts the
-    # proof in locder._probe_family.  With T(P) emptied every map passes,
+    # proof in locder._t_p_conditions.  With T(P) emptied every map passes,
     # so a near-miss is REFUTED (exit 1) and a derivation stays inconclusive.
-    monkeypatch.setattr(locder, "_probe_family", lambda poset: iter(()))
+    monkeypatch.setattr(locder, "_t_p_conditions", lambda poset, ring: iter(()))
     poset = str(GOLDEN / "chain3.poset")
     for name, code, verdict in (
         ("chain3.q.patch.json", 1, "REFUTED"),

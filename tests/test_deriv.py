@@ -47,6 +47,7 @@ from helpers import (
     chain,
     cocycle_by_definition,
     commutator_span_basis,
+    components,
     dense_decomposition,
     leibniz_kernel_basis,
     leibniz_on_units,
@@ -254,20 +255,6 @@ def test_h1_vanishes_on_chains_and_diamond():
     assert _h1(DIAMOND, GF(2)) == 0
 
 
-def _components(poset):
-    """The connected components of the comparability graph, by union-find."""
-    root = list(range(len(poset)))
-
-    def find(x):
-        while root[x] != x:
-            x = root[x]
-        return x
-
-    for x, y in poset.ipairs:
-        root[find(x)] = find(y)
-    return sum(find(x) == x for x in range(len(poset)))
-
-
 def test_dimensions_match_the_order_complex():
     # dim Der = npairs - components + dim H^1(order complex), with H^1
     # read off the simplicial coboundaries by the oracle's own elimination.
@@ -278,7 +265,7 @@ def test_dimensions_match_the_order_complex():
                 poset = random_poset(n, 0.35, seed)
                 h1 = order_complex_h1(poset, ring)
                 dim = derivation_dimension(poset, ring)
-                assert dim == poset.npairs - _components(poset) + h1
+                assert dim == poset.npairs - components(poset) + h1
                 assert _h1(poset, ring) == h1
                 outer += h1 > 0
     assert outer > 20

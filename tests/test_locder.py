@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from fia import deriv, locder
+from fia import _linalg, deriv, locder
 from fia.deriv import (
     LinearEndo,
     _derivation_rref,
@@ -31,7 +31,7 @@ from fia.locder import (
     theorem_verify_random,
     witness_for,
 )
-from fia.poset import parse_poset, random_poset
+from fia.poset import Poset, parse_poset, random_poset
 from fia.scalars import GF, QQ, RingError, RingMismatchError
 
 from helpers import (
@@ -43,14 +43,19 @@ from helpers import (
     SINGLETON,
     chain,
     commutator_span_basis,
+    components,
     dense_rref,
     exhaustive_scan,
     leibniz_kernel_basis,
     leibniz_on_units,
+    order_complex_h1,
     random_derivation,
     random_element,
     scan_endomorphisms,
     small_posets,
+    span_rref,
+    t_p_first_failure,
+    t_p_probes,
 )
 
 # One poset of each shape with at most four comparable pairs.
@@ -387,8 +392,8 @@ def test_spanning_derivation_report_matches_full_scan():
     # must pass it, as W_a = [FI, a] holds its image at every probe.
     rng = random.Random(31)
     for poset in (*SMALL_POSETS, DIAMOND, CROWN):
-        size = sum(1 for _ in locder._probe_family(poset))
         for ring in (QQ, GF(5)):
+            size = sum(1 for _ in locder._t_p_conditions(poset, ring))
             basis = derivation_basis(poset, ring)
             for _ in range(2):
                 d = random_derivation(poset, ring, rng, basis)
@@ -443,7 +448,8 @@ def test_failing_probe_is_the_probe_at_probes_checked():
                     expected = FiElement(poset, ring, entries)
                 else:
                     report = check_local_spanning(d)
-                    probe = list(locder._probe_family(poset))[report.probes_checked - 1]
+                    probes = [p for p, _ in locder._t_p_conditions(poset, ring)]
+                    probe = probes[report.probes_checked - 1]
                     entries = {poset.ipairs[t]: ring.one for t in probe}
                     expected = FiElement(poset, ring, entries)
                 assert report.verdict == "rejected"
@@ -597,6 +603,20 @@ def test_local_dimension_equals_derivation_dimension():
         assert local_dimension(poset, ring) == len(derivation_basis(poset, ring))
 
 
+def test_local_dimension_at_scale_matches_the_order_complex():
+    # dim Der = npairs - components + h1 of the order complex, and Loc = Der,
+    # far past the census: T(P) needs no elimination per probe.
+    labels = [[f"l{k}_{i}" for i in range(8)] for k in range(3)]
+    covers = [
+        (a, b) for low, high in zip(labels, labels[1:]) for a in low for b in high
+    ]
+    layers = Poset([label for layer in labels for label in layer], covers)
+    for poset in (chain(32), layers, random_poset(40, 0.1, 1)):
+        for ring in (GF(101), QQ):
+            expected = poset.npairs - components(poset) + order_complex_h1(poset, ring)
+            assert local_dimension(poset, ring) == expected
+
+
 @functools.lru_cache(maxsize=None)
 def _oracle_basis(poset, ring):
     return leibniz_kernel_basis(poset, ring)
@@ -622,7 +642,7 @@ def test_local_dimension_matches_leibniz_oracle(monkeypatch):
     for ring in CENSUS_RINGS:
         for poset in posets:
             assert local_dimension(poset, ring) == _oracle_dimension(poset, ring)
-    assert sum(1 for _ in locder._probe_family(chain(12))) == 331
+    assert sum(1 for _ in locder._t_p_conditions(chain(12), QQ)) == 331
 
 
 @pytest.mark.parametrize("ring", CENSUS_RINGS, ids=lambda ring: ring.designator())
@@ -640,57 +660,95 @@ def _no_der(poset, ring):
     raise AssertionError("Der was computed")
 
 
-def test_theorem_harnesses_read_w_a_from_the_t_p_spans(monkeypatch):
-    # Both T(P) harnesses take W_a = [FI, a] from _t_p_spans; neither
-    # forms images through verify's _images.
-    def no_images(*args):
-        raise AssertionError("_images was called")
-
-    monkeypatch.setattr(locder, "_images", no_images)
+def test_no_t_p_path_eliminates(monkeypatch):
+    # T(P) asks for supports and +-1 rows: local_dimension only grows a
+    # rank with add_row, and spanning verify and _t_p_failures read entries
+    # of d.  None of them reduces a vector, forms a commutator map or forms
+    # images through verify's _images.
+    rng = random.Random(53)
+    cases = []
     for ring in (GF(2), GF(3), QQ):
-        for poset in (CHAIN3, DIAMOND, CROWN):
-            assert local_dimension(poset, ring) == _oracle_dimension(poset, ring)
-            report = theorem_verify_random(poset, ring, trials=3, seed=2)
-            assert (report.verdict, report.s_loc) == ("confirmed", 3)
+        for poset in (CHAIN3, DIAMOND, CROWN, chain(5)):
+            cases.append((poset, ring, _non_derivations(poset, ring, rng)))
+            _oracle_dimension(poset, ring)
+
+    def eliminates(*args):
+        raise AssertionError("a T(P) path eliminated")
+
+    for name in ("rref", "nullspace", "reduce_vector"):
+        monkeypatch.setattr(_linalg, name, eliminates)
+    monkeypatch.setattr(deriv, "_commutator_rows", eliminates)
+    monkeypatch.setattr(locder, "_images", eliminates)
+    for poset, ring, maps in cases:
+        assert local_dimension(poset, ring) == _oracle_dimension(poset, ring)
+        assert check_local_spanning(maps[0]).verdict == "rejected"
+        assert sorted(locder._t_p_failures(poset, ring, maps)) == [0, 1]
 
 
-def _span_rref(maps, vec, ring):
-    """dense_rref of the images m(a) of the given maps, a as a dense vector."""
-    images = []
-    for m in maps:
-        image = [ring.zero] * len(vec)
-        for col, v in zip(m.cols, vec):
-            if v:
-                image = [ring.add(x, ring.mul(v, w)) for x, w in zip(image, col)]
-        images.append(image)
-    return dense_rref(images, ring)
+def _s_c(poset, ring, commutators, c):
+    """The pairs [FI, e_c] spans, read off its dense_rref."""
+    unit_c = [ring.one if t == c else ring.zero for t in range(poset.npairs)]
+    rows = span_rref(commutators, unit_c, ring).values()
+    return [r for r in range(poset.npairs) if any(row[r] for row in rows)]
 
 
-def test_w_a_is_the_commutator_span_on_every_t_p_probe():
-    # [FI, a] lies in W_a, so equal dimensions make them equal: a's
-    # off-diagonal pairs lie in one chain, on which a cocycle agrees with
-    # a coboundary, whose diagonal map is inner.  Both spans come from
-    # the solver-free oracles, and the span _t_p_spans reads off a's own
-    # columns must be the commutator span, row for row in dense_rref.
+def _maps_for_every_stage(poset, ring, rng, commutators):
+    """Two derivations, then a random map, derivations bumped at one entry
+    anywhere and inside some S_c, [alpha, .] + D_sigma for random alpha and
+    sigma, and a patchwork."""
+    n = poset.npairs
+    basis = _oracle_basis(poset, ring)
+    maps = [random_derivation(poset, ring, rng, basis) for _ in range(2)]
+    cols = [[ring.sample(rng) for _ in range(n)] for _ in range(n)]
+    maps.append(LinearEndo(poset, ring, cols))
+    inside = [(c, r) for c in range(n) for r in _s_c(poset, ring, commutators, c)]
+    bumps = [divmod(rng.randrange(n * n), n), *rng.sample(inside, min(2, len(inside)))]
+    for c, r in bumps:
+        d = random_derivation(poset, ring, rng, basis)
+        d.cols[c][r] = ring.add(d.cols[c][r], ring.one)
+        maps.append(d)
+    for _ in range(3):
+        entries = random_element(poset, ring, rng).entries.items()
+        sigma = FiElement(poset, ring, {(x, y): v for (x, y), v in entries if x != y})
+        maps.append(inner(random_element(poset, ring, rng)) + sigma_endo(sigma))
+    if _patchworks_exist(poset, ring):
+        maps.append(_patchwork(poset, ring, rng))
+    return maps
+
+
+def test_t_p_failures_match_the_per_probe_elimination():
+    # _t_p_failures reads each probe's condition off supports and +-1 rows;
+    # the oracle eliminates per probe, [FI, a] the dense_rref of the
+    # commutator images at a, in its own T(P) order.  Both must stop each
+    # map at the same probe, and maps stop at units, two-unit probes and
+    # chain idempotents alike.  [FI, a] lies in W_a, and on T(P) both have
+    # one dimension: a's off-diagonal pairs lie in one chain, on which a
+    # cocycle agrees with a coboundary, whose diagonal map is inner.
+    rng = random.Random(67)
+    stages = set()
     for ring in (GF(2), GF(3), QQ):
         for poset in small_posets(4):
-            n = poset.npairs
-            der = _oracle_basis(poset, ring)
             commutators = commutator_span_basis(poset, ring)
-            spans = list(locder._t_p_spans(poset, ring))
-            assert [probe for probe, _ in spans] == list(locder._probe_family(poset))
-            for probe, w_a in spans:
-                a = [ring.one if t in probe else ring.zero for t in range(n)]
-                expected = _span_rref(commutators, a, ring)
-                assert len(_span_rref(der, a, ring)) == len(expected)
-                rows = [[row.get(r, ring.zero) for r in range(n)] for row in w_a.values()]
-                assert dense_rref(rows, ring) == expected
-    # Off T(P) they can differ, which is why verify's modes read Der: on
-    # the crown, W_zeta has dimension 4 and [FI, zeta] 3.
+            probes = [probe for probe, _ in locder._t_p_conditions(poset, ring)]
+            assert probes == t_p_probes(poset)
+            for probe in probes:
+                a = [ring.one if t in probe else ring.zero for t in range(poset.npairs)]
+                w_a = span_rref(_oracle_basis(poset, ring), a, ring)
+                assert len(w_a) == len(span_rref(commutators, a, ring))
+            maps = _maps_for_every_stage(poset, ring, rng, commutators)
+            failures = locder._t_p_failures(poset, ring, maps)
+            for k, d in enumerate(maps):
+                expected = t_p_first_failure(d, commutators)
+                assert failures.get(k) == expected
+                if expected is not None:
+                    stages.add(len(expected[1]))
+    assert stages == {1, 2, 4}
+    # Off T(P), W_a can exceed [FI, a], which is why verify's exhaustive
+    # mode reads Der: on the crown, W_zeta has dimension 4 and [FI, zeta] 3.
     for ring in (QQ, GF(2)):
         zeta = [ring.one] * CROWN.npairs
-        assert len(_span_rref(_oracle_basis(CROWN, ring), zeta, ring)) == 4
-        assert len(_span_rref(commutator_span_basis(CROWN, ring), zeta, ring)) == 3
+        assert len(span_rref(_oracle_basis(CROWN, ring), zeta, ring)) == 4
+        assert len(span_rref(commutator_span_basis(CROWN, ring), zeta, ring)) == 3
 
 
 def _probe_kind(poset, probe):
@@ -707,11 +765,15 @@ def test_probe_family_needs_every_kind(monkeypatch, dropped):
     # Without any one kind of probe (corner: e_x + e_xy or e_xy + e_y),
     # T(P) lets some non-derivation through on a poset of at most four
     # elements.
-    family = locder._probe_family
+    conditions = locder._t_p_conditions
     monkeypatch.setattr(
         locder,
-        "_probe_family",
-        lambda poset: (p for p in family(poset) if _probe_kind(poset, p) != dropped),
+        "_t_p_conditions",
+        lambda poset, ring: (
+            (p, c)
+            for p, c in conditions(poset, ring)
+            if _probe_kind(poset, p) != dropped
+        ),
     )
     assert any(
         local_dimension(poset, ring) != _oracle_dimension(poset, ring)
@@ -736,7 +798,7 @@ def test_cocycle_rows_and_chain_idempotents_share_their_triples():
             (y,) = (j for i, j in (ipairs[t] for t in row) if i == x and j != z)
             rows.append((x, y, z))
         chains = []
-        for probe in locder._probe_family(poset):
+        for probe, _ in locder._t_p_conditions(poset, ring):
             if len(probe) == 4:
                 pairs = {ipairs[t] for t in probe}
                 (y,) = (i for i, j in pairs if i == j)
