@@ -292,7 +292,7 @@ def _split(d: LinearEndo):
             want = {pos(x, v): a for x, a in ending_at.get(u, ())}
             want.update((pos(u, w), a) for w, a in starting_at.get(v, ()))
             for r, got in enumerate(cols[c]):
-                if r != c and got != want.get(r, zero_raw):
+                if (got or r in want) and r != c and got != want.get(r, zero_raw):
                     yield c, r
 
     return (

@@ -9,22 +9,24 @@ echelon basis, and witness_for reads a combination of its caller's maps
 off the same elimination.  The condition is linear in d, so the local
 derivations form a subspace Loc containing the derivations Der.
 
-A derivation passes every probe without a scan.  Verify's exhaustive
-mode probes every element over a prime field: it reduces any other map
-modulo Der once and scans that residue up to its first witness-less
-probe, skipping the elimination at every probe the residue sends to
-zero.  A family longer than PROBE_CAP, a constant that never picks it,
-is refused.  Its spanning mode scans T(P) over any field and reads no
-Der: a derivation is only inconclusive, any other map is rejected at its
-first failing probe, and one passing every probe is REFUTED.
+Verify's exhaustive mode probes every element over a prime field: a
+derivation passes every probe without a scan, and any other map is
+reduced modulo Der once and that residue scanned up to its first
+witness-less probe, skipping the elimination at every probe the residue
+sends to zero.  A family longer than PROBE_CAP, a constant that never
+picks it, is refused.  Its spanning mode scans T(P) over any field, reads
+no Der and checks each map both ways: a non-derivation is rejected at its
+first failing probe, a derivation passing every probe is inconclusive,
+and a map on which the scan and is_derivation disagree is REFUTED.
 
 Spanning verify and both theorem harnesses rest on T(P).  _t_p_conditions
 yields each probe a with what d(a) in W_a = [FI, a] asks of d, a support
-or +-1 rows, so no probe eliminates: _t_p_failures checks the maps that
-spanning verify or the campaign scans, and local_dimension takes dim Loc
-as their nullity, which enumerate compares with dim Der over a prime
-field.  T(P) is linear in npairs and never capped.  Everything runs in
-one process, in a fixed order, so a report depends only on its inputs.
+or +-1 rows, so no probe eliminates: _t_p_failures walks it once for the
+maps that spanning verify or the campaign checks, counting its probes,
+and local_dimension takes dim Loc as their nullity, which enumerate
+compares with dim Der over a prime field.  T(P) is linear in npairs and
+never capped.  Everything runs in one process, in a fixed order, so a
+report depends only on its inputs.
 
 Each report is a record, set by keyword where it is built and written by
 deriv's one to_json; the lemma checks are one table of named results,
@@ -204,29 +206,25 @@ def check_local_exhaustive(d: LinearEndo) -> LocalCheckReport:
 def check_local_spanning(d: LinearEndo, seed: int = 0) -> LocalCheckReport:
     """Scan T(P) over any field; verdicts are inconclusive, rejected or REFUTED.
 
-    A derivation passes every probe, so it is inconclusive without a
-    scan.  Any other map is rejected at its first probe a with d(a)
-    outside W_a = [FI, a], which is attached; one that passes all of
-    T(P) contradicts the proof in _t_p_conditions, so it is REFUTED.  No
-    probe is random, so seed changes nothing.
+    d walks T(P) up to its first probe a with d(a) outside W_a = [FI, a],
+    which is attached, and is_derivation reads d once.  A non-derivation
+    that fails is rejected and a derivation that passes is inconclusive;
+    the proof in _t_p_conditions rules out the other two cases, so either
+    is REFUTED.  No probe is random, so seed changes nothing.
     """
     poset, ring = d.poset, d.ring
+    failures, walked = _t_p_failures(poset, ring, [d])
     report = LocalCheckReport(
         mode="spanning",
-        verdict=VERDICT_INCONCLUSIVE,
-        probes_checked=sum(1 for _ in _t_p_conditions(poset, ring)),
+        verdict=VERDICT_REJECTED if failures else VERDICT_INCONCLUSIVE,
+        probes_checked=walked,
         ring=ring.designator(),
     )
-    if is_derivation(d):
-        return report
-    failures = _t_p_failures(poset, ring, [d])
-    if not failures:
+    for _, probe in failures.values():
+        entries = {poset.ipairs[t]: ring.one for t in probe}
+        report.failing_probe = FiElement(poset, ring, entries)
+    if bool(failures) == is_derivation(d):
         report.verdict = VERDICT_REFUTED
-        return report
-    (index, probe), = failures.values()
-    entries = {poset.ipairs[t]: ring.one for t in probe}
-    report.verdict, report.probes_checked = VERDICT_REJECTED, index
-    report.failing_probe = FiElement(poset, ring, entries)
     return report
 
 
@@ -364,17 +362,18 @@ def _t_p_conditions(poset: Poset, ring: CoeffRing):
         yield probe, [{t * n + t: v for t, v in row.items()}]
 
 
-def _t_p_failures(poset: Poset, ring: CoeffRing, maps) -> dict:
-    """{k: (index, probe)} for each map k with d(a) outside W_a on a T(P) probe a.
+def _t_p_failures(poset: Poset, ring: CoeffRing, maps) -> tuple[dict, int]:
+    """{k: (index, probe)} for each map k failing a T(P) probe, and the walk's length.
 
-    The maps walk _t_p_conditions together, each up to its first failing
-    probe, the index-th of T(P) counted from one: unit e_c fails when d(e_c)
-    leaves S_c, any other probe when one of its rows, read off the entries
-    it names, is nonzero on d.  A map that passes every probe has no entry.
+    The maps walk _t_p_conditions together, each up to its first probe a
+    with d(a) outside W_a, the index-th of T(P) counted from one: unit e_c
+    fails when d(e_c) leaves S_c, any other probe when one of its rows, read
+    off the entries it names, is nonzero on d.  A map that passes every probe
+    has no entry; the walk ends at the last map's failure or after |T(P)|.
     """
     n, canonical = poset.npairs, ring.canonical
     pending = {k: d.cols for k, d in enumerate(maps)}
-    failures = {}
+    failures, index = {}, 0
     for index, (probe, condition) in enumerate(_t_p_conditions(poset, ring), 1):
         for k, cols in list(pending.items()):
             if len(probe) == 1:
@@ -390,7 +389,7 @@ def _t_p_failures(poset: Poset, ring: CoeffRing, maps) -> dict:
                 del pending[k]
         if not pending:
             break
-    return failures
+    return failures, index
 
 
 def local_dimension(poset: Poset, ring: CoeffRing) -> int:
@@ -465,10 +464,10 @@ def theorem_verify_random(
     """Seeded random campaigns for the theorem, certified over any field.
 
     Random derivations (combinations of the derivation basis) must pass
-    is_derivation, and random non-derivations must fail a probe of T(P),
-    which saturates.  _t_p_failures scans the maps that are no derivation;
-    each is charged the index of its first failing probe, and any other
-    sample |T(P)|.  Der's rows only draw the derivation samples.
+    is_derivation.  All samples walk T(P), which saturates, in one
+    _t_p_failures call, and exactly the non-derivations must fail a probe.
+    Each failing sample is charged the index of its first failing probe,
+    and any other |T(P)|.  Der's rows only draw the derivation samples.
     """
     if trials < 1:
         raise AlgebraError(f"a campaign needs trials >= 1, got {trials}")
@@ -489,13 +488,11 @@ def theorem_verify_random(
     if len(der_rows) < n * n:
         samples += [_non_derivation(poset, ring, rng) for _ in range(trials)]
     # Non-derivations met is_derivation while being sampled.
-    passed = [is_derivation(d) for d in samples[:trials]]
-    scanned = [d for d, ok in zip(samples, passed + [False] * trials) if not ok]
-    failures = _t_p_failures(poset, ring, scanned)
+    passed = all(is_derivation(d) for d in samples[:trials])
+    failures, walked = _t_p_failures(poset, ring, samples)
     s_loc = len(samples) - len(failures)
-    probes = sum(index for index, _ in failures.values())
-    probes += s_loc * sum(1 for _ in _t_p_conditions(poset, ring))
-    confirmed = all(passed) and len(failures) == len(scanned)
+    probes = sum(index for index, _ in failures.values()) + s_loc * walked
+    confirmed = passed and sorted(failures) == list(range(trials, len(samples)))
     return TheoremReport(
         mode="random",
         verdict=VERDICT_CONFIRMED if confirmed else VERDICT_REFUTED,

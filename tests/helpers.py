@@ -357,12 +357,15 @@ def order_complex_h1(poset, ring):
     The simplices are the chains of the poset: points, pairs x < y and
     triples x < y < z.  H^1 is the kernel of the coboundary d1 on pairs
     modulo the image of d0 on points, so h1 = #pairs - rank d1 - rank d0,
-    the ranks read off dense_rref of the coboundary matrices.
+    the ranks read off dense_rref of the coboundary matrices.  d1's
+    columns number the pairs from the last, so dense_rref, which leads on
+    the smallest column, leads a triple's row on its last pair, which on
+    chain32 more than halves the oracle's time over q and zp:101.
     """
     one, minus_one = ring.one, ring.neg(ring.one)
     points = range(len(poset))
     edges = [(x, y) for x, y in poset.ipairs if x != y]
-    column = {edge: t for t, edge in enumerate(edges)}
+    column = {edge: t for t, edge in enumerate(reversed(edges))}
     d0 = []
     for x, y in edges:
         row = [ring.zero] * len(points)

@@ -59,6 +59,11 @@ _LEIBNIZ = ("tests/test_locder.py::test_local_dimension_matches_leibniz_oracle",
 _RESIDUE = (
     "tests/test_locder.py::test_exhaustive_scan_of_the_residue_matches_a_solver_free_scan",
 )
+# Derivations that fail a T(P) patched to reject every nonzero unit image.
+_BOTH_WAYS = (
+    "tests/test_cli.py::test_derivations_failing_t_p_are_refuted[q]",
+    "tests/test_cli.py::test_derivations_failing_t_p_are_refuted[zp:3]",
+)
 
 MUTANTS = (
     Mutant(
@@ -206,19 +211,23 @@ MUTANTS = (
     Mutant(
         "a non-derivation that passes T(P) reads inconclusive",
         "locder.py",
-        "report.verdict = VERDICT_REFUTED",
-        "pass",
+        "if bool(failures) == is_derivation(d):",
+        "if failures and is_derivation(d):",
         ("tests/test_cli.py::test_locder_verify_spanning_refutes_a_map_passing_t_p",),
     ),
     Mutant(
-        "spanning verify scans derivations too",
+        "spanning verify trusts a failing probe without is_derivation",
         "locder.py",
-        "    if is_derivation(d):\n        return report",
-        "    if False:\n        return report",
-        (
-            "tests/test_locder.py::test_spanning_is_only_inconclusive_on_derivations",
-            "tests/test_locder.py::test_spanning_derivation_report_matches_full_scan",
-        ),
+        "if bool(failures) == is_derivation(d):",
+        "if not failures and not is_derivation(d):",
+        _BOTH_WAYS,
+    ),
+    Mutant(
+        "the campaign's derivation samples may fail T(P)",
+        "locder.py",
+        "sorted(failures) == list(range(trials, len(samples)))",
+        "all(k in failures for k in range(trials, len(samples)))",
+        _BOTH_WAYS,
     ),
     Mutant(
         "QQ is rebuilt on every access",
@@ -261,6 +270,13 @@ MUTANTS = (
         "return next(off_diagonal, None) is None and is_cocycle(sigma)",
         "return next(off_diagonal, None) is None",
         ("tests/test_deriv.py::test_cocycle_iff_diagonal_map_is_derivation",),
+    ),
+    Mutant(
+        "_split skips the zero entries that [alpha, .] sets",
+        "deriv.py",
+        "(got or r in want) and r != c",
+        "got and r != c",
+        ("tests/test_deriv.py::test_is_derivation_agrees_with_convolve_leibniz",),
     ),
     Mutant(
         "_split skips the last column",

@@ -267,6 +267,34 @@ def test_locder_verify_spanning_refutes_a_map_passing_t_p(capsys, monkeypatch):
         assert out.endswith(f"verdict: {verdict}\nprobes_checked: 0\n"), name
 
 
+@pytest.mark.parametrize("ring", ["q", "zp:3"])
+def test_derivations_failing_t_p_are_refuted(capsys, monkeypatch, ring):
+    # is_derivation and the T(P) walk check each map both ways.  With
+    # every unit's support emptied, T(P) rejects every nonzero unit image,
+    # so derivations fail it too, against the proof in
+    # locder._t_p_conditions: spanning verify of a derivation is REFUTED
+    # (exit 1) at the unit probe it fails, and so is a campaign whose
+    # derivation samples fail.
+    conditions = locder._t_p_conditions
+    monkeypatch.setattr(
+        locder,
+        "_t_p_conditions",
+        lambda poset, r: (
+            (p, set()) if len(p) == 1 else (p, c) for p, c in conditions(poset, r)
+        ),
+    )
+    poset = str(GOLDEN / "chain3.poset")
+    der = str(GOLDEN / f"chain3.{ring.replace(':', '')}.der.json")
+    argv = ["locder", "verify", poset, der, "--mode", "spanning", "--format", "json"]
+    assert run(argv) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["verdict"] == "REFUTED"
+    assert len(obj["failing_probe"]["entries"]) == 1
+    argv = ["theorem", "random", poset, "--ring", ring, "--trials", "5"]
+    assert run([*argv, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "REFUTED"
+
+
 def test_theorem_random_refuses_huge_trials_at_once(capsys, tmp_path, chain2_file):
     # Each sample map is charged npairs^2 scalars but at least 16, so the
     # empty and the one-element posets are refused one trial above 2^20 / 16

@@ -153,9 +153,14 @@ def test_is_derivation_agrees_with_convolve_leibniz():
             )
             candidates = [LinearEndo(poset, ring, cols), d]
             # One entry off anywhere, and one in the last column only, which
-            # the split reaches after every other column.
+            # the split reaches after every other column; then each entry
+            # that [alpha, .] sets, zeroed, which the split must still read.
             for c in (rng.randrange(n), n - 1):
                 candidates.append(_bumped(d, c, rng.randrange(n), ring.one))
+            for c, col in enumerate(d.cols):
+                candidates += [
+                    _bumped(d, c, r, ring.neg(v)) for r, v in enumerate(col) if v and r != c
+                ]
             for e in candidates:
                 assert is_derivation(e) == leibniz_on_units(e)
                 dec = decompose(e)

@@ -17,11 +17,10 @@ from fia.fialg import (
     zero,
     zeta,
 )
-from fia.poset import parse_poset, random_poset
+from fia.poset import random_poset
 from fia.scalars import GF, QQ, RingError, RingMismatchError
 
-CHAIN3 = parse_poset("elements: x y z\nx < y\ny < z\n")
-DIAMOND = parse_poset("elements: bot a b top\nbot < a\nbot < b\na < top\nb < top\n")
+from helpers import CHAIN3, DIAMOND, random_element
 
 
 def oracle_product(a, b):
@@ -40,16 +39,6 @@ def oracle_product(a, b):
             )
         if acc != ring.zero:
             entries[(i, j)] = acc
-    return FiElement(poset, ring, entries)
-
-
-def random_element(poset, ring, rng, fill=0.6):
-    entries = {}
-    for pair in poset.ipairs:
-        if rng.random() < fill:
-            v = ring.sample(rng)
-            if v != ring.zero:
-                entries[pair] = v
     return FiElement(poset, ring, entries)
 
 

@@ -388,8 +388,9 @@ def test_probe_cap_bounds_exhaustive_only(monkeypatch):
 
 
 def test_spanning_derivation_report_matches_full_scan():
-    # A derivation is inconclusive without a scan; a scan of all of T(P)
-    # must pass it, as W_a = [FI, a] holds its image at every probe.
+    # A derivation is scanned through all of T(P) and must pass it, as
+    # W_a = [FI, a] holds its image at every probe, so it is inconclusive
+    # after |T(P)| probes.
     rng = random.Random(31)
     for poset in (*SMALL_POSETS, DIAMOND, CROWN):
         for ring in (QQ, GF(5)):
@@ -405,7 +406,7 @@ def test_spanning_derivation_report_matches_full_scan():
                 )
                 got = check_local_spanning(d, seed=rng.randrange(1 << 16))
                 assert got.to_json() == expected.to_json()
-                assert locder._t_p_failures(poset, ring, [d]) == {}
+                assert locder._t_p_failures(poset, ring, [d]) == ({}, size)
 
 
 def _non_derivations(poset, ring, rng):
@@ -649,11 +650,18 @@ def test_local_dimension_matches_leibniz_oracle(monkeypatch):
 def test_census_der_and_campaign_match_leibniz_oracle(ring):
     # The same census for Der, which the test above keeps away.  The
     # campaign scans the same T(P) spans, so each of its two
-    # non-derivation samples must fail a probe.
+    # non-derivation samples must fail a probe.  A map passing T(P) walks
+    # npairs + 3(npairs - n) + #{x covered by y < z} probes, as README says.
     for poset in small_posets(5):
         assert derivation_dimension(poset, ring) == _oracle_dimension(poset, ring)
         report = theorem_verify_random(poset, ring, trials=2, seed=1)
         assert (report.verdict, report.s_loc) == ("confirmed", 2), poset.serialize()
+        n, npairs = len(poset), poset.npairs
+        covers = [(x, y) for x, y in poset.ipairs if len(poset.interval_idx(x, y)) == 2]
+        chains = sum(poset.leq_idx(y, z) for _, y in covers for z in range(n) if z != y)
+        size = npairs + 3 * (npairs - n) + chains
+        zero_map = LinearEndo.zero(poset, ring)
+        assert locder._t_p_failures(poset, ring, [zero_map]) == ({}, size)
 
 
 def _no_der(poset, ring):
@@ -682,7 +690,9 @@ def test_no_t_p_path_eliminates(monkeypatch):
     for poset, ring, maps in cases:
         assert local_dimension(poset, ring) == _oracle_dimension(poset, ring)
         assert check_local_spanning(maps[0]).verdict == "rejected"
-        assert sorted(locder._t_p_failures(poset, ring, maps)) == [0, 1]
+        failures, walked = locder._t_p_failures(poset, ring, maps)
+        assert sorted(failures) == [0, 1]
+        assert walked == max(index for index, _ in failures.values())
 
 
 def _s_c(poset, ring, commutators, c):
@@ -736,7 +746,9 @@ def test_t_p_failures_match_the_per_probe_elimination():
                 w_a = span_rref(_oracle_basis(poset, ring), a, ring)
                 assert len(w_a) == len(span_rref(commutators, a, ring))
             maps = _maps_for_every_stage(poset, ring, rng, commutators)
-            failures = locder._t_p_failures(poset, ring, maps)
+            failures, walked = locder._t_p_failures(poset, ring, maps)
+            # The first two maps are derivations, so the walk is all of T(P).
+            assert walked == len(probes)
             for k, d in enumerate(maps):
                 expected = t_p_first_failure(d, commutators)
                 assert failures.get(k) == expected
